@@ -19,6 +19,7 @@ from .model import (
     init_frequency_bank,
     load_checkpoint,
     project,
+    reconstruct,
     save_checkpoint,
 )
 from .training import (

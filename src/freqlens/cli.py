@@ -30,7 +30,6 @@ from .interpret import (
     export_loss_curves_csv,
     export_spectrum_csv,
     faithfulness_test,
-    selection_counts,
     verify_axioms,
 )
 from .model import FreqLens, ModelConfig, load_checkpoint, save_checkpoint
@@ -342,9 +341,8 @@ def cmd_discover(cfg: RunConfig, args) -> int:
     report = build_discovery_report(seeded, known_steps, delta=delta, test_inputs=windows["test"].inputs)
     out = _out_dir(cfg, args)
     _dump_json(out / "discovery.json", asdict(report))
-    for seed, model in seeded:
-        counts = selection_counts(model, windows["test"].inputs)
-        export_spectrum_csv(out / f"spectrum-{seed}.csv", model, known_steps, delta, counts)
+    for (seed, model), found in zip(seeded, report.seeds):
+        export_spectrum_csv(out / f"spectrum-{seed}.csv", model, known_steps, delta, found.selection_counts)
     gates = alpha_report([m for _, m in seeded])
     _dump_json(out / "alpha.json", asdict(gates))
     for summary in report.summary:

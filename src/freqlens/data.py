@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "SeriesTable",
@@ -211,7 +212,9 @@ def make_windows(table: SeriesTable, L: int, H: int, split: SplitSpec) -> dict[s
     """Stride-1 sliding windows within each chronological split segment.
 
     Each segment of length n yields n - L - H + 1 (input, target) pairs;
-    no window crosses a split boundary.
+    no window crosses a split boundary.  The windows are read-only views
+    into the series, not copies: overlapping windows share memory, so an
+    in-place write raises instead of changing its neighbours.
     """
     out = {}
     for name, (start, end) in split.bounds(table.n_steps, table.step_duration).items():
@@ -223,8 +226,8 @@ def make_windows(table: SeriesTable, L: int, H: int, split: SplitSpec) -> dict[s
             raise ValueError(
                 f"{name} segment has {seg.shape[0]} rows; needs at least {L + H} for L={L}, H={H}"
             )
-        inputs = np.stack([seg[i : i + L] for i in range(n)])
-        targets = np.stack([seg[i + L : i + L + H] for i in range(n)])
+        inputs = sliding_window_view(seg[: n + L - 1], L, axis=0).transpose(0, 2, 1)
+        targets = sliding_window_view(seg[L:], H, axis=0).transpose(0, 2, 1)
         out[name] = WindowSet(inputs, targets)
     return out
 

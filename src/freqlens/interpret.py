@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -260,12 +261,7 @@ class AlphaSummary:
 
 def alpha_report(models) -> AlphaSummary:
     """Fusion-gate values across trained models (mean and population std)."""
-    values = []
-    for model in models:
-        gate = model.config.force_alpha
-        if gate is None:
-            gate = 1.0 / (1.0 + math.exp(-float(model.fusion_logit.data)))
-        values.append(float(gate))
+    values = [float(model.gate().data) for model in models]
     if not values:
         raise ValueError("need at least one model")
     return AlphaSummary(values, float(np.mean(values)), float(np.std(values)))
@@ -412,7 +408,7 @@ def verify_axioms(model: FreqLens, inputs=None, tol: float = 1e-9,
 # ---------------------------------------------------------------------------
 
 def export_spectrum_csv(path, model: FreqLens, known_periods_steps=(), delta: float = 0.15,
-                        counts: np.ndarray | None = None) -> None:
+                        counts: Sequence[int] | None = None) -> None:
     """Per-basis rows of (frequency, period, selection count, matched flag)."""
     freqs = model.bank.frequencies().data
     periods, _ = periods_from_frequencies(freqs)

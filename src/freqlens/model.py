@@ -39,6 +39,7 @@ __all__ = [
     "init_frequency_bank",
     "build_bases",
     "project",
+    "reconstruct",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -171,26 +172,33 @@ def build_bases(freqs: Tensor, phases: Tensor, L: int) -> tuple[Tensor, Tensor]:
     return psi, psi / norms
 
 
-def project(hidden: Tensor, psi_bar: Tensor, return_components: bool = False):
-    """Project hidden features onto the normalized bases.
+def project(hidden: Tensor, psi_bar: Tensor) -> Tensor:
+    """Coefficients of hidden features on the normalized bases.
 
-    c_i = sum_t hidden[:, t, :] * psi_bar_i(t)   (unit norms, so the
-    projection denominator is 1), per-frequency component
-    H_i(t) = c_i * psi_bar_i(t), and reconstruction = sum_i H_i.
-
-    Returns (c, reconstruction) or (c, components, reconstruction).
+    c_i = sum_t psi_bar_i(t) * hidden[:, t, :]  (unit norms, so the
+    projection denominator is 1), computed as one batched matmul
+    ``psi_bar [N, L] @ hidden [B, L, d] -> c [B, N, d]``.
     """
-    c = ad.einsum("bld,nl->bnd", hidden, psi_bar)
-    recon = ad.einsum("bnd,nl->bld", c, psi_bar)
-    if return_components:
-        components = ad.einsum("bnd,nl->bnld", c, psi_bar)
-        return c, components, recon
-    return c, recon
+    return ad.matmul(psi_bar, hidden)
+
+
+def reconstruct(c: Tensor, psi_bar: Tensor) -> Tensor:
+    """Hidden features rebuilt from their coefficients: sum_i c_i * psi_bar_i.
+
+    ``psi_bar.T [L, N] @ c [B, N, d] -> [B, L, d]``.  Only the training
+    loss reads it, so evaluation passes never build it.
+    """
+    return ad.matmul(ad.transpose(psi_bar), c)
 
 
 @dataclass
 class ForwardOutput:
-    """Everything one forward pass produces, on the live tape."""
+    """Everything one forward pass produces, on the live tape.
+
+    ``hidden`` and ``bases`` are kept so the training loss can rebuild
+    ``reconstruct(coefficients, bases)`` itself; the forward pass never
+    builds the reconstruction.
+    """
 
     y_hat: Tensor  # [B, H, C]
     y_freq: Tensor  # [B, H, C], exact sum of contributions
@@ -199,7 +207,8 @@ class ForwardOutput:
     selected: np.ndarray  # [B, K] basis indices, slot k = k-th largest weight
     contributions: Tensor  # [B, K, H, C]
     coefficients: Tensor  # [B, N, d]
-    recon_error: Tensor  # scalar
+    hidden: Tensor  # [B, L, d] projected input; the loss reconstructs it from the coefficients
+    bases: Tensor  # [N, L] unit-norm bases the coefficients were projected on
     soft_weights: Tensor  # [B, N] selection weights (sum to 1 per sample)
     frequencies: Tensor  # [N]
 
@@ -324,13 +333,14 @@ class FreqLens:
 
     # -- forward pieces -------------------------------------------------------
     def _encode(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        """Input -> hidden -> bases -> coefficients; shared by all passes."""
+        """Input -> hidden -> bases -> coefficients; shared by all passes.
+
+        Returns (hidden, freqs, psi_bar, c).
+        """
         hidden = ad.matmul(x, self.input_proj)
         freqs = self.bank.frequencies()
         _, psi_bar = build_bases(freqs, self.bank.phase, self.config.L)
-        c, recon = project(hidden, psi_bar)
-        recon_error = ad.square(recon - hidden).mean()
-        return hidden, freqs, c, recon_error
+        return hidden, freqs, psi_bar, project(hidden, psi_bar)
 
     def score_and_select(self, coefficients: Tensor, tau: float, training: bool,
                          rng: np.random.Generator | None = None) -> tuple[np.ndarray, Tensor]:
@@ -369,7 +379,8 @@ class FreqLens:
         h = ad.relu(ad.matmul(flat, self.residual_w1))
         return ad.matmul(h, self.residual_w2).reshape((x.shape[0], cfg.H, cfg.C))
 
-    def _gate(self) -> Tensor:
+    def gate(self) -> Tensor:
+        """Fusion weight alpha: sigmoid(fusion_logit), or the pinned ``force_alpha``."""
         if self.config.force_alpha is not None:
             return Tensor(self.config.force_alpha)
         return ad.sigmoid(self.fusion_logit)
@@ -392,7 +403,7 @@ class FreqLens:
         b = x.shape[0]
 
         xt = Tensor(x)
-        _, freqs, c, recon_error = self._encode(xt)
+        hidden, freqs, psi_bar, c = self._encode(xt)
         selected, weights = self.score_and_select(c, tau, training, rng)
         c_sel = ad.gather_rows(c, selected)
 
@@ -409,7 +420,7 @@ class FreqLens:
         y_freq = contributions.sum(axis=1)
 
         y_res = self._residual(xt)
-        alpha = self._gate()
+        alpha = self.gate()
         y_hat = alpha * y_freq + (1.0 - alpha) * y_res
         return ForwardOutput(
             y_hat=y_hat,
@@ -419,7 +430,8 @@ class FreqLens:
             selected=selected,
             contributions=contributions,
             coefficients=c,
-            recon_error=recon_error,
+            hidden=hidden,
+            bases=psi_bar,
             soft_weights=weights,
             frequencies=freqs,
         )
@@ -443,7 +455,7 @@ class FreqLens:
                     f"masked_forward: indices {sorted(missing)} not in the selected set of sample {b}"
                 )
         xt = Tensor(x)
-        _, _, c, _ = self._encode(xt)
+        *_, c = self._encode(xt)
         c_sel = ad.gather_rows(c, selection)
         keep = np.isin(selection, sorted(subset)).astype(np.float64)  # [B, K]
         parts = []

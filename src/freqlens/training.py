@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward
-from .model import ForwardOutput, FreqLens
+from .model import ForwardOutput, FreqLens, reconstruct
 
 __all__ = [
     "LossWeights",
@@ -159,7 +159,10 @@ def total_loss(output: ForwardOutput, target: np.ndarray, freqs: Tensor,
 
     Fixed-prior mode replaces the frequency-gap barrier with the
     orthogonality penalty on batch-averaged per-frequency coefficients.
-    Returns the scalar loss and its components as plain floats.
+    The reconstruction term is the mean squared error of
+    ``reconstruct(coefficients, bases)`` against ``hidden``; it is built
+    here because no forward pass builds it.  Returns the scalar loss and
+    its components as plain floats.
     """
     pred = ad.square(output.y_hat - Tensor(np.asarray(target, dtype=np.float64))).mean()
     if freq_mode == "fixed-prior":
@@ -169,7 +172,7 @@ def total_loss(output: ForwardOutput, target: np.ndarray, freqs: Tensor,
     else:
         reg = Tensor(0.0)  # a single frequency has no gaps to keep apart
     sparse = ad.absolute(output.soft_weights).sum(axis=1).mean()
-    recon = output.recon_error
+    recon = ad.square(reconstruct(output.coefficients, output.bases) - output.hidden).mean()
     total = (
         pred
         + weights.lambda_div * reg
@@ -212,14 +215,23 @@ class Adam:
         self.v = {name: np.zeros_like(p.data) for name, p in self.params}
 
     def step(self, grads: dict[int, Tensor], lr: float) -> None:
-        self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        """One update of every parameter, or none.
+
+        Every gradient is checked before any state changes, so a
+        non-finite gradient leaves the parameters, moments and step
+        count as they were.
+        """
+        resolved = []
         for name, p in self.params:
             g = grads.get(p.node_id)
             g = np.zeros_like(p.data) if g is None else g.data
             if not np.all(np.isfinite(g)):
                 raise ValueError(f"non-finite gradient for parameter {name!r}")
+            resolved.append(g)
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for (name, p), g in zip(self.params, resolved):
             m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
             v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
             step_lr = lr * self.freq_lr_multiplier if name in self.freq_param_names else lr

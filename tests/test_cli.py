@@ -1,5 +1,6 @@
 """End-to-end command-line tests (in-process, tiny configs)."""
 
+import csv
 import json
 
 import numpy as np
@@ -174,6 +175,10 @@ class TestDiscover:
         assert len(report["summary"]) == 2
         assert (run / "spectrum-1.csv").exists()
         assert (run / "alpha.json").exists()
+        for seed_report in report["seeds"]:
+            with open(run / f"spectrum-{seed_report['seed']}.csv", newline="") as fh:
+                counts = [int(row["selection_count"]) for row in csv.DictReader(fh)]
+            assert counts == seed_report["selection_counts"]
 
     def test_needs_known_periods(self, workspace, tmp_path):
         cfg = dict(workspace["raw"], known_periods=[])

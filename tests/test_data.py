@@ -196,6 +196,18 @@ class TestWindows:
         assert windows["train"].inputs.shape == (n - L - H + 1, L, 1)
         assert windows["train"].targets.shape == (n - L - H + 1, H, 1)
 
+    def test_views_equal_stacked_copies_and_are_read_only(self):
+        values = np.random.default_rng(3).normal(size=(60, 3))
+        table = SeriesTable(values, 3600.0, ["a", "b", "c"])
+        L, H = 7, 4
+        windows = make_windows(table, L, H, SplitSpec(train=1.0, val=0.0, test=0.0))["train"]
+        n = 60 - L - H + 1
+        np.testing.assert_array_equal(windows.inputs, np.stack([values[i : i + L] for i in range(n)]))
+        np.testing.assert_array_equal(windows.targets, np.stack([values[i + L : i + L + H] for i in range(n)]))
+        for array in windows:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = 0.0
+
 
 class TestSynth:
     def test_cosine_sample_values(self):

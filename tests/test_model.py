@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from freqlens.autodiff import Tensor, backward
+from freqlens import autodiff as ad
+from freqlens import model as model_module
+from freqlens.autodiff import Tensor, backward, finite_difference
 from freqlens.model import (
     FreqLens,
     FrequencyBank,
@@ -14,6 +16,7 @@ from freqlens.model import (
     init_frequency_bank,
     load_checkpoint,
     project,
+    reconstruct,
     save_checkpoint,
 )
 
@@ -124,7 +127,8 @@ class TestProjection:
     def test_self_projection_recovers_basis(self):
         _, psi_bar = build_bases(Tensor([3.0 / 16]), Tensor([0.4]), L=16)
         hidden = Tensor(psi_bar.data[0][None, :, None])  # B=1, d=1 copy of the basis
-        c, recon = project(hidden, psi_bar)
+        c = project(hidden, psi_bar)
+        recon = reconstruct(c, psi_bar)
         assert c.data[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(recon.data, hidden.data, atol=1e-12)
 
@@ -132,15 +136,17 @@ class TestProjection:
         # constant hidden vs an integer-cycle zero-mean cosine
         _, psi_bar = build_bases(Tensor([1.0 / 16]), Tensor([0.0]), L=16)
         hidden = Tensor(np.ones((1, 16, 1)))
-        c, _ = project(hidden, psi_bar)
+        c = project(hidden, psi_bar)
         assert abs(c.data[0, 0, 0]) < 1e-12
 
     def test_single_basis_reconstruction_is_its_component(self):
         _, psi_bar = build_bases(Tensor([0.2]), Tensor([0.1]), L=12)
         rng = np.random.default_rng(5)
         hidden = Tensor(rng.normal(size=(2, 12, 3)))
-        c, components, recon = project(hidden, psi_bar, return_components=True)
-        np.testing.assert_array_equal(recon.data, components.data[:, 0])
+        c = project(hidden, psi_bar)
+        recon = reconstruct(c, psi_bar)
+        component = c.data[:, 0, None, :] * psi_bar.data[0][None, :, None]
+        np.testing.assert_array_equal(recon.data, component)
 
     def test_orthogonal_span_reconstructs_exactly(self):
         # integer-cycle cosines are mutually orthogonal over a full window
@@ -149,8 +155,37 @@ class TestProjection:
         rng = np.random.default_rng(6)
         coef = rng.normal(size=(3, 1))
         hidden = Tensor((psi_bar.data.T @ coef)[None, :, :])  # lies in the span
-        _, recon = project(hidden, psi_bar)
+        recon = reconstruct(project(hidden, psi_bar), psi_bar)
         np.testing.assert_allclose(recon.data, hidden.data, atol=1e-9)
+
+    def test_project_then_reconstruct_gradients(self):
+        # the psi_bar gradient sums over the batch, so B > 1 exercises it
+        rng = np.random.default_rng(7)
+        hidden = Tensor(rng.normal(size=(3, 6, 2)), requires_grad=True)
+        psi_bar = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        target = rng.normal(size=(3, 6, 2))
+
+        def loss_of(h, p):
+            return ad.square(reconstruct(project(h, p), p) - Tensor(target)).sum()
+
+        grads = backward(loss_of(hidden, psi_bar))
+        fd = finite_difference(
+            lambda: loss_of(Tensor(hidden.data), Tensor(psi_bar.data)).item(), [hidden, psi_bar]
+        )
+        np.testing.assert_allclose(grads[hidden.node_id].data, fd[0], rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(grads[psi_bar.node_id].data, fd[1], rtol=1e-6, atol=1e-8)
+
+    def test_evaluation_passes_never_reconstruct(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("reconstruct called outside the training loss")
+
+        monkeypatch.setattr(model_module, "reconstruct", forbidden)
+        cfg = small_config(seed=8)
+        model = FreqLens(cfg)
+        x = random_inputs(cfg, 2, seed=8)
+        out = model.forward(x, training=False)
+        model.masked_forward(x, out.selected, [])
+        model.attribute(out)
 
 
 class TestSelection:

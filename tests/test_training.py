@@ -145,6 +145,15 @@ class TestTotalLoss:
         expected = orthogonality_loss(Tensor(features)).item()
         assert comps["div"] == pytest.approx(expected, rel=1e-12)
 
+    def test_recon_term_matches_numpy(self):
+        model = tiny_model()
+        x = np.random.default_rng(7).normal(size=(3, 8, 1))
+        out = model.forward(x)
+        _, comps = total_loss(out, np.zeros((3, 4, 1)), out.frequencies, LossWeights())
+        psi_bar, c, hidden = out.bases.data, out.coefficients.data, out.hidden.data
+        expected = float(np.mean((psi_bar.T @ c - hidden) ** 2))
+        assert comps["recon"] == pytest.approx(expected, rel=1e-12)
+
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
@@ -179,6 +188,24 @@ class TestAdam:
         opt = Adam([("scorer.w1", p)])
         with pytest.raises(ValueError, match="scorer.w1"):
             opt.step({p.node_id: Tensor(np.array(float("nan")))}, lr=1e-3)
+
+    def test_nan_gradient_on_last_parameter_changes_nothing(self):
+        a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        b = Tensor(np.array(3.0), requires_grad=True)
+        opt = Adam([("first", a), ("last", b)])
+        opt.step({a.node_id: Tensor(np.array([0.5, 0.5])), b.node_id: Tensor(np.array(1.0))}, lr=1e-3)
+        data = {"first": a.data.copy(), "last": b.data.copy()}
+        m = {k: v.copy() for k, v in opt.m.items()}
+        v = {k: val.copy() for k, val in opt.v.items()}
+        t = opt.t
+        bad = {a.node_id: Tensor(np.array([0.5, 0.5])), b.node_id: Tensor(np.array(float("nan")))}
+        with pytest.raises(ValueError, match="'last'"):
+            opt.step(bad, lr=1e-3)
+        assert opt.t == t
+        for name, p in (("first", a), ("last", b)):
+            np.testing.assert_array_equal(p.data, data[name])
+            np.testing.assert_array_equal(opt.m[name], m[name])
+            np.testing.assert_array_equal(opt.v[name], v[name])
 
 
 class TestSchedules:
