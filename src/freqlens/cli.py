@@ -82,7 +82,6 @@ CONFIG_REFERENCE = {
     "lambda_div": (0.01, "weight of the frequency-gap barrier"),
     "lambda_recon": (0.1, "weight of the hidden reconstruction error"),
     "lambda_sparse": (0.01, "weight of the selection L1 penalty"),
-    "lambda_variance": (0.1, "accepted for config compatibility; attaches to no loss term"),
     "epsilon_div": (1e-6, "epsilon inside the gap barrier logarithm"),
     "known_periods": ([], "known physical periods in seconds, for discovery matching"),
     "delta": (0.15, "relative-error threshold for a period match"),
@@ -138,7 +137,6 @@ class RunConfig:
             lambda_div=self.values["lambda_div"],
             lambda_recon=self.values["lambda_recon"],
             lambda_sparse=self.values["lambda_sparse"],
-            lambda_variance=self.values["lambda_variance"],
             epsilon_div=self.values["epsilon_div"],
         )
 

@@ -11,6 +11,7 @@ both must agree with the raw contributions.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor
-from .model import FreqLens
+from .model import ForwardOutput, FreqLens
 
 __all__ = [
     "PeriodMatch",
@@ -110,13 +111,35 @@ def fft_peak_detection(series, top_k: int = 2) -> list[float]:
 # exact Shapley oracle
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _coalitions(k_players: int) -> tuple[np.ndarray, np.ndarray]:
+    """Membership [2^K, K] of every coalition and Shapley coefficients [K, 2^K].
+
+    Row T of the membership matrix flags the players of coalition T (bit
+    f of T set = player f in T).  The coefficient of v(T) in phi_f is
+    +w(|T|-1) when f is in T and -w(|T|) when it is not, with
+    w(s) = s! (K-s-1)! / K!, so phi = coef @ v sums the weighted marginal
+    gains w(|T|) (v(T + f) - v(T)) over every coalition T without f.
+    """
+    masks = np.arange(2 ** k_players)
+    members = (masks[:, None] >> np.arange(k_players)) & 1
+    size = members.sum(axis=1)
+    fact = math.factorial
+    weight = np.array(
+        [fact(s) * fact(k_players - s - 1) / fact(k_players) for s in range(k_players)] + [0.0]
+    )
+    coef = np.where(members.T == 1, weight[size - 1], -weight[size])
+    return members.astype(np.float64), coef
+
+
 def shapley_bruteforce(contributions, aggregate: str = "per-element") -> np.ndarray:
     """Exact Shapley values of the coalition game over frequency contributions.
 
     The game value of a coalition T is the sum of its contribution
     tensors ("per-element", an array-valued game) or the l2 norm of
-    that sum ("l2-magnitude", a scalar game).  All 2^K coalitions are
-    enumerated with the weights |T|! (K-|T|-1)! / K!; K is capped at 12.
+    that sum ("l2-magnitude", a scalar game).  All 2^K coalition values
+    are computed and weighted by |T|! (K-|T|-1)! / K! through one
+    [K, 2^K] coefficient matrix; K is capped at 12.
     """
     contribs = np.asarray(contributions, dtype=np.float64)
     k_players = contribs.shape[0]
@@ -125,28 +148,11 @@ def shapley_bruteforce(contributions, aggregate: str = "per-element") -> np.ndar
     if aggregate not in ("per-element", "l2-magnitude"):
         raise ValueError(f"unknown aggregate {aggregate!r}")
 
-    sums = np.zeros((2 ** k_players,) + contribs.shape[1:])
-    for mask in range(1, 2 ** k_players):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + contribs[low.bit_length() - 1]
-
+    members, coef = _coalitions(k_players)
+    sums = members @ contribs.reshape(k_players, -1)  # [2^K, elements], v of each coalition
     if aggregate == "l2-magnitude":
-        values = np.array([np.linalg.norm(s) for s in sums])
-        phi = np.zeros(k_players)
-    else:
-        values = sums
-        phi = np.zeros_like(contribs)
-
-    fact = math.factorial
-    weight = [fact(s) * fact(k_players - s - 1) / fact(k_players) for s in range(k_players)]
-    for f in range(k_players):
-        bit = 1 << f
-        for mask in range(2 ** k_players):
-            if mask & bit:
-                continue
-            s = bin(mask).count("1")
-            phi[f] += weight[s] * (values[mask | bit] - values[mask])
-    return phi
+        return coef @ np.linalg.norm(sums, axis=1)
+    return (coef @ sums).reshape(contribs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -171,28 +177,32 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.corrcoef(a, b)[0, 1])
 
 
-def per_frequency_impacts(model: FreqLens, inputs, tau: float | None = None,
-                          max_samples: int = 64) -> tuple[np.ndarray, np.ndarray, float]:
+def _leave_one_out(b: int, k: int) -> np.ndarray:
+    """Slot masks [1+K, B, K] for ``masked_forward``: row 0 keeps every slot, row 1+k drops slot k."""
+    rows = np.concatenate([np.ones((1, k), dtype=bool), ~np.eye(k, dtype=bool)])
+    return np.broadcast_to(rows[:, None, :], (k + 1, b, k))
+
+
+def per_frequency_impacts(model: FreqLens, inputs, tau: float | None = None, max_samples: int = 64,
+                          output: ForwardOutput | None = None) -> tuple[np.ndarray, np.ndarray, float]:
     """Removal impact of each selected frequency, by masked recomputation.
 
     Returns (attribution magnitudes [B, K], fused-prediction impact l2
     norms [B, K], gate value).  For the additive path the impact of
-    frequency f is exactly gate * ||contribution(f)||.
+    frequency f is exactly gate * ||contribution(f)||.  One
+    ``masked_forward`` call with a leave-one-out mask recomputes the
+    full prediction and every single removal for the whole batch.
+    ``output`` may pass the evaluation forward of the same (truncated)
+    inputs so it is not run twice; only its selection, gate and
+    magnitudes are read.
     """
     x = np.asarray(inputs, dtype=np.float64)[:max_samples]
-    out = model.forward(x, tau=tau, training=False)
+    out = model.forward(x, tau=tau, training=False) if output is None else output
     alpha = float(out.alpha.data)
-    contrib = out.contributions.data
-    mags = np.sqrt((contrib ** 2).sum(axis=(2, 3)))
-    b_total, k_total = out.selected.shape
-    impacts = np.zeros((b_total, k_total))
-    for b in range(b_total):
-        xb = x[b : b + 1]
-        sel = out.selected[b : b + 1]
-        full = model.masked_forward(xb, sel, sel[0])
-        for slot, f in enumerate(sel[0]):
-            partial = model.masked_forward(xb, sel, [i for i in sel[0] if i != f])
-            impacts[b, slot] = alpha * float(np.linalg.norm(full - partial))
+    mags = np.sqrt((out.contributions.data ** 2).sum(axis=(2, 3)))
+    rows = model.masked_forward(x, out.selected, _leave_one_out(*out.selected.shape))
+    removed = rows[0] - rows[1:]  # [K, B, H, C]
+    impacts = alpha * np.sqrt((removed ** 2).sum(axis=(2, 3))).T
     return mags, impacts, alpha
 
 
@@ -205,44 +215,34 @@ def faithfulness_test(model: FreqLens, inputs, k_list, tau: float | None = None,
     gate * (M(S) - M(S minus top-k)).  The reported correlation pools
     per-frequency attribution magnitudes against their individual
     removal impacts, which the additive structure forces to be
-    perfectly linear.
+    perfectly linear.  One forward serves both; the removals are one
+    ``masked_forward`` call whose rows are the full set and one
+    "top-k removed" mask per distinct k (sizes above K collapse onto K).
     """
     x = np.asarray(inputs, dtype=np.float64)[:max_samples]
     out = model.forward(x, tau=tau, training=False)
-    alpha = float(out.alpha.data)
-    contrib = out.contributions.data
-    mags = np.sqrt((contrib ** 2).sum(axis=(2, 3)))
-    _, impacts, _ = per_frequency_impacts(model, x, tau=tau, max_samples=max_samples)
+    mags, impacts, alpha = per_frequency_impacts(model, x, output=out)
     correlation = _pearson(mags, impacts)
 
-    b_total = x.shape[0]
+    k_effs = list(dict.fromkeys(min(int(k), model.config.K) for k in k_list))
+    if any(k < 0 for k in k_effs):
+        raise ValueError(f"removal sizes must be nonnegative, got {list(k_list)}")
+    ranked = np.argsort(-mags, axis=1, kind="stable")  # slots, strongest first
+    rank = np.argsort(ranked, axis=1)  # rank of each slot
+    keep = rank[None] >= np.array([0, *k_effs])[:, None, None]  # row 0 keeps every slot
+    rows = model.masked_forward(x, out.selected, keep)
     results = []
-    seen = set()
-    for k in k_list:
-        k_eff = min(int(k), model.config.K)
-        if k_eff in seen:
-            continue  # requested sizes above K collapse onto K
-        seen.add(k_eff)
-        fused_changes = []
-        freq_changes = []
-        for b in range(b_total):
-            xb = x[b : b + 1]
-            sel = out.selected[b : b + 1]
-            ranked = np.argsort(-mags[b], kind="stable")
-            removed = set(int(sel[0][slot]) for slot in ranked[:k_eff])
-            kept = [i for i in sel[0] if int(i) not in removed]
-            full = model.masked_forward(xb, sel, sel[0])
-            partial = model.masked_forward(xb, sel, kept)
-            freq_delta = full - partial
-            fused_changes.append(np.abs(alpha * freq_delta).mean())
-            freq_changes.append(np.abs(freq_delta).mean())
+    for k_eff, freq_delta in zip(k_effs, rows[0] - rows[1:]):
+        # per-sample mean absolute change, then the mean over samples
+        fused = np.abs(alpha * freq_delta).mean(axis=(1, 2))
+        freq = np.abs(freq_delta).mean(axis=(1, 2))
         results.append(
             FaithfulnessResult(
                 k=k_eff,
-                mean_abs_change=float(np.mean(fused_changes)),
-                mean_abs_change_freq_path=float(np.mean(freq_changes)),
+                mean_abs_change=float(fused.mean()),
+                mean_abs_change_freq_path=float(freq.mean()),
                 attribution_impact_correlation=correlation,
-                n_samples=b_total,
+                n_samples=x.shape[0],
             )
         )
     return results
@@ -357,7 +357,9 @@ def verify_axioms(model: FreqLens, inputs=None, tol: float = 1e-9,
     Holds for any weights by construction, so a randomly initialized
     model is a valid subject.  Completeness and faithfulness are
     checked within ``tol``; the null-frequency and symmetry checks are
-    bit-exact.
+    bit-exact.  Faithfulness recomputes every single removal of every
+    sample with one leave-one-out ``masked_forward`` call and compares
+    each change with the forward's contribution.
     """
     cfg = model.config
     if inputs is None:
@@ -370,14 +372,9 @@ def verify_axioms(model: FreqLens, inputs=None, tol: float = 1e-9,
     dev = float(np.abs(out.contributions.data.sum(axis=1) - out.y_freq.data).max())
     checks["completeness"] = AxiomCheck(dev < tol, dev)
 
-    dev = 0.0
-    for b in range(x.shape[0]):
-        xb = x[b : b + 1]
-        sel = out.selected[b : b + 1]
-        full = model.masked_forward(xb, sel, sel[0])
-        for slot, f in enumerate(sel[0]):
-            partial = model.masked_forward(xb, sel, [i for i in sel[0] if i != f])
-            dev = max(dev, float(np.abs(full - partial - out.contributions.data[b, slot]).max()))
+    rows = model.masked_forward(x, out.selected, _leave_one_out(*out.selected.shape))
+    removed = rows[0] - rows[1:]  # [K, B, H, C]
+    dev = float(np.abs(removed - out.contributions.data.transpose(1, 0, 2, 3)).max())
     checks["faithfulness"] = AxiomCheck(dev < tol, dev)
 
     dev = max(

@@ -21,7 +21,6 @@ import json
 import warnings
 import zipfile
 from dataclasses import asdict, dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -436,35 +435,42 @@ class FreqLens:
             frequencies=freqs,
         )
 
-    def masked_forward(self, x, selection: np.ndarray, subset: Sequence[int]) -> np.ndarray:
-        """Frequency prediction using only the basis indices in ``subset``.
+    def masked_forward(self, x, selection: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """Frequency prediction of every slot mask in ``keep`` [S, B, K] -> [S, B, H, C].
 
-        ``selection`` must come from a prior forward on the same input;
-        the selection is held fixed and the kept heads are re-run, so
-        the full subset reproduces that forward's y_freq and the empty
-        subset is exactly zero.
+        ``selection`` [B, K] must come from a prior forward on the same
+        input; it is held fixed and the K heads are re-run from ``x``, so
+        row s sums the contributions of the slots with ``keep[s, b, k]``
+        true.  This is an independent recomputation, not a read of the
+        forward's contributions: an all-true row reproduces that
+        forward's y_freq bit for bit (same reduction over slots) and an
+        all-false row is exactly zero.  One encode and one pass of the K
+        heads serve every row, however large S is.
         """
         cfg = self.config
         x = np.asarray(x, dtype=np.float64)
         selection = np.asarray(selection)
-        subset = frozenset(int(i) for i in subset)
-        for b in range(selection.shape[0]):
-            missing = subset - set(int(i) for i in selection[b])
-            if missing:
-                raise ValueError(
-                    f"masked_forward: indices {sorted(missing)} not in the selected set of sample {b}"
-                )
-        xt = Tensor(x)
-        *_, c = self._encode(xt)
+        keep = np.asarray(keep)
+        b = x.shape[0]
+        if selection.shape != (b, cfg.K):
+            raise ValueError(f"masked_forward: expected selection [{b}, {cfg.K}], got {selection.shape}")
+        if keep.dtype != np.bool_ or keep.ndim != 3 or keep.shape[1:] != (b, cfg.K):
+            raise ValueError(
+                f"masked_forward: expected a bool slot mask [S, {b}, {cfg.K}], "
+                f"got {keep.dtype} {keep.shape}"
+            )
+        *_, c = self._encode(Tensor(x))
         c_sel = ad.gather_rows(c, selection)
-        keep = np.isin(selection, sorted(subset)).astype(np.float64)  # [B, K]
-        parts = []
-        for k in range(cfg.K):
-            contrib = self.head_contribution(k, c_sel[:, k, :])
-            parts.append(contrib.reshape((x.shape[0], 1, cfg.H, cfg.C)))
-        stacked = ad.concat(parts, axis=1)
-        masked = stacked * Tensor(keep[:, :, None, None])
-        return masked.sum(axis=1).data
+        parts = [self.head_contribution(k, c_sel[:, k, :]).data for k in range(cfg.K)]
+        stacked = np.stack(parts, axis=1)  # [B, K, H, C]
+        # (stacked[None] * keep[..., None, None]).sum(axis=2), one row at a
+        # time: the [S, B, K, H, C] product would raise peak memory by S
+        # copies of the contributions.  Each row is the same reduction as
+        # forward's contributions.sum(axis=1), hence bit-identical.
+        masked = np.empty((keep.shape[0], b, cfg.H, cfg.C))
+        for s, row in enumerate(keep):
+            np.sum(stacked * row[:, :, None, None], axis=1, out=masked[s])
+        return masked
 
     def attribute(self, output: ForwardOutput) -> AttributionReport:
         """Per-frequency attribution: exactly the head contributions."""
@@ -513,17 +519,36 @@ def save_checkpoint(model: FreqLens, path, seed: int | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[FreqLens, int | None]:
-    with zipfile.ZipFile(path, "r") as zf:
-        manifest = json.loads(zf.read("manifest.json"))
-        if manifest.get("format_version") != _CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {manifest.get('format_version')}")
-        cfg_dict = dict(manifest["config"])
-        if cfg_dict.get("prior_periods") is not None:
-            cfg_dict["prior_periods"] = tuple(cfg_dict["prior_periods"])
-        config = ModelConfig(**cfg_dict)
-        model = FreqLens(config)
-        state = {}
-        for name in manifest["arrays"]:
-            state[name] = np.load(io.BytesIO(zf.read(f"arrays/{name}.npy")))
-        model.load_state_dict(state)
+    """Model and seed from a checkpoint written by ``save_checkpoint``.
+
+    Anything that is not a readable checkpoint -- a missing file, a
+    directory, a file that is not a zip, manifest JSON that does not
+    parse or lacks a field, an array the manifest names but the archive
+    lacks, a config or array that does not fit the model -- raises one
+    ``ValueError`` naming ``path``.
+    """
+    try:
+        with zipfile.ZipFile(path, "r") as zf:
+            manifest = json.loads(zf.read("manifest.json"))
+            if not isinstance(manifest, dict):
+                raise ValueError("manifest is not a JSON object")
+            if manifest.get("format_version") != _CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {manifest.get('format_version')}")
+            missing = {"config", "arrays"} - set(manifest)
+            if missing:
+                raise ValueError(f"manifest lacks {sorted(missing)}")
+            cfg_dict = dict(manifest["config"])
+            if cfg_dict.get("prior_periods") is not None:
+                cfg_dict["prior_periods"] = tuple(cfg_dict["prior_periods"])
+            model = FreqLens(ModelConfig(**cfg_dict))
+            stored = set(zf.namelist())
+            state = {}
+            for name in manifest["arrays"]:
+                member = f"arrays/{name}.npy"
+                if member not in stored:
+                    raise ValueError(f"manifest names array {name!r}, but the archive has no {member}")
+                state[name] = np.load(io.BytesIO(zf.read(member)))
+            model.load_state_dict(state)
+    except (OSError, zipfile.BadZipFile, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"cannot load checkpoint {path}: {exc}") from exc
     return model, manifest.get("seed")

@@ -44,7 +44,6 @@ class LossWeights:
     lambda_div: float = 0.01
     lambda_recon: float = 0.1
     lambda_sparse: float = 0.01
-    lambda_variance: float = 0.1  # accepted for config compatibility; attaches to no loss term
     epsilon_div: float = 1e-6
 
     def __post_init__(self):

@@ -2,16 +2,23 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import freqlens
 from freqlens.cli import (
     CONFIG_REFERENCE,
     ConfigError,
     load_config,
     main,
 )
+from freqlens.model import FreqLens, ModelConfig, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +71,14 @@ class TestConfig:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"base_lr": 1}))
         assert load_config(str(path)).base_lr == 1.0
+
+    def test_removed_lambda_variance_key_rejected(self, tmp_path):
+        # the knob attached to no loss term and is gone; old configs fail loudly
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"lambda_variance": 0.1}))
+        with pytest.raises(ConfigError, match="unknown config keys.*lambda_variance"):
+            load_config(str(path))
+        assert main(["verify-axioms", "--config", str(path)]) == 1
 
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -242,3 +257,56 @@ class TestUsageErrors:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"out_dir": str(tmp_path)}))
         assert main(["train", "--config", str(path)]) == 1
+
+
+def _rewrite_checkpoint(src: Path, dst: Path, drop=(), replace=None) -> None:
+    """Copy a checkpoint zip, dropping members and replacing others' bytes."""
+    replace = replace or {}
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for name in zin.namelist():
+            if name not in drop:
+                zout.writestr(name, replace.get(name, zin.read(name)))
+
+
+def _not_a_zip(tmp_path, good):
+    path = tmp_path / "garbage.ckpt"
+    path.write_bytes(b"this is not a zip archive")
+    return path
+
+
+def _a_directory(tmp_path, good):
+    path = tmp_path / "a-directory.ckpt"
+    path.mkdir()
+    return path
+
+
+def _missing_array(tmp_path, good):
+    path = tmp_path / "missing-array.ckpt"
+    _rewrite_checkpoint(good, path, drop={"arrays/fusion_logit.npy"})
+    return path
+
+
+def _bad_manifest_json(tmp_path, good):
+    path = tmp_path / "bad-manifest.ckpt"
+    _rewrite_checkpoint(good, path, replace={"manifest.json": b"{not json"})
+    return path
+
+
+class TestCheckpointFailures:
+    """A bad --checkpoint is a usage error: exit 1 and one line on stderr, no traceback."""
+
+    @pytest.mark.parametrize(
+        "make_bad", [_not_a_zip, _a_directory, _missing_array, _bad_manifest_json], ids=lambda f: f.__name__
+    )
+    def test_bad_checkpoint_exits_1_without_traceback(self, tmp_path, make_bad):
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(FreqLens(ModelConfig(L=16, H=4, C=1, d=4, N=4, K=2)), good)
+        bad = make_bad(tmp_path, good)
+        env = dict(os.environ, PYTHONPATH=str(Path(freqlens.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "freqlens.cli", "verify-axioms", "--checkpoint", str(bad)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and str(bad) in proc.stderr

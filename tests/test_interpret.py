@@ -1,5 +1,6 @@
 """Interpretation tests: periods, FFT baseline, Shapley oracle, faithfulness."""
 
+import itertools
 import math
 
 import numpy as np
@@ -137,6 +138,29 @@ class TestShapley:
         phi = shapley_bruteforce(contrib, aggregate="l2-magnitude")
         assert phi.sum() == pytest.approx(np.linalg.norm(contrib.sum(axis=0)), rel=1e-12)
 
+    @pytest.mark.parametrize("aggregate", ["per-element", "l2-magnitude"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_textbook_definition(self, k, aggregate):
+        # phi_f = sum over S without f of |S|! (K-|S|-1)! / K! * (v(S + f) - v(S))
+        contrib = np.random.default_rng(10 + k).normal(size=(k, 3, 2))
+
+        def value(coalition):
+            total = contrib[list(coalition)].sum(axis=0) if coalition else np.zeros(contrib.shape[1:])
+            return np.linalg.norm(total) if aggregate == "l2-magnitude" else total
+
+        expected = []
+        for f in range(k):
+            others = [i for i in range(k) if i != f]
+            phi = 0.0
+            for size in range(k):
+                weight = math.factorial(size) * math.factorial(k - size - 1) / math.factorial(k)
+                for subset in itertools.combinations(others, size):
+                    phi = phi + weight * (value(subset + (f,)) - value(subset))
+            expected.append(phi)
+        np.testing.assert_allclose(
+            shapley_bruteforce(contrib, aggregate=aggregate), np.array(expected), rtol=0, atol=1e-12
+        )
+
     def test_enumeration_cap(self):
         with pytest.raises(ValueError, match="K <= 12"):
             shapley_bruteforce(np.zeros((13, 1)))
@@ -166,6 +190,39 @@ class TestFaithfulness:
         out = self.model.forward(self.x)
         expected = float(np.abs(out.y_freq.data).mean())
         assert r.mean_abs_change_freq_path == pytest.approx(expected, rel=1e-9)
+
+    def test_top_k_removal_matches_per_sample_recomputation(self):
+        k_list = [1, 3, 9]  # 9 > K collapses onto K
+        results = faithfulness_test(self.model, self.x, k_list=k_list)
+        assert [r.k for r in results] == [1, 3, 4]
+        out = self.model.forward(self.x)
+        mags = np.sqrt((out.contributions.data ** 2).sum(axis=(2, 3)))
+        for r in results:
+            changes = []
+            for b in range(self.x.shape[0]):
+                sel = out.selected[b : b + 1]
+                removed = sel[0][np.argsort(-mags[b], kind="stable")[: r.k]]
+                keep = np.stack([np.ones_like(sel, dtype=bool), ~np.isin(sel, removed)])
+                full, partial = self.model.masked_forward(self.x[b : b + 1], sel, keep)
+                changes.append(np.abs(full - partial).mean())
+            assert r.mean_abs_change_freq_path == pytest.approx(np.mean(changes), rel=1e-12)
+
+    def test_one_forward_and_two_masked_passes_per_call(self, monkeypatch):
+        calls = {"forward": 0, "masked_forward": 0}
+        for name in calls:
+            original = getattr(self.model, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(self.model, name, counted)
+        faithfulness_test(self.model, self.x, k_list=[1, 2, 4])
+        assert calls == {"forward": 1, "masked_forward": 2}
+
+    def test_negative_removal_size_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            faithfulness_test(self.model, self.x, k_list=[-1])
 
     def test_zero_contributions_zero_change(self):
         out = faithfulness_test(self.model, np.zeros((2, 16, 2)), k_list=[1])

@@ -184,7 +184,7 @@ class TestProjection:
         model = FreqLens(cfg)
         x = random_inputs(cfg, 2, seed=8)
         out = model.forward(x, training=False)
-        model.masked_forward(x, out.selected, [])
+        model.masked_forward(x, out.selected, np.isin(out.selected, [])[None])
         model.attribute(out)
 
 
@@ -342,7 +342,8 @@ class TestMaskedForward:
         # selection differs per sample, so the full set is passed per sample
         for b in range(3):
             single = self.model.forward(self.x[b : b + 1])
-            mb = self.model.masked_forward(self.x[b : b + 1], single.selected, single.selected[0])
+            keep = np.isin(single.selected, single.selected[0])[None]
+            mb = self.model.masked_forward(self.x[b : b + 1], single.selected, keep)[0]
             np.testing.assert_array_equal(mb[0], single.y_freq.data[0])
 
     def test_full_subset_batchwise_when_selection_is_shared(self):
@@ -350,27 +351,36 @@ class TestMaskedForward:
         model = FreqLens(cfg)
         x = random_inputs(cfg, 3, seed=22)
         out = model.forward(x)
-        m = model.masked_forward(x, out.selected, range(4))
+        m = model.masked_forward(x, out.selected, np.isin(out.selected, range(4))[None])[0]
         np.testing.assert_array_equal(m, out.y_freq.data)
 
     def test_empty_subset_is_zero(self):
-        m = self.model.masked_forward(self.x, self.out.selected, [])
+        m = self.model.masked_forward(self.x, self.out.selected, np.isin(self.out.selected, [])[None])[0]
         np.testing.assert_array_equal(m, 0.0)
 
     def test_faithfulness_per_selected_frequency(self):
         contrib = self.out.contributions.data
         for b in range(3):
             sel = self.out.selected[b]
-            full = self.model.masked_forward(self.x[b : b + 1], sel[None], sel)[0]
+            full = self.model.masked_forward(self.x[b : b + 1], sel[None], np.isin(sel, sel)[None, None])[0, 0]
             for slot, f in enumerate(sel):
                 rest = [i for i in sel if i != f]
-                partial = self.model.masked_forward(self.x[b : b + 1], sel[None], rest)[0]
+                keep = np.isin(sel, rest)[None, None]
+                partial = self.model.masked_forward(self.x[b : b + 1], sel[None], keep)[0, 0]
                 np.testing.assert_allclose(full - partial, contrib[b, slot], atol=1e-9)
 
-    def test_non_selected_index_rejected(self):
-        not_selected = [i for i in range(self.cfg.N) if i not in set(self.out.selected[0])][0]
-        with pytest.raises(ValueError, match="not in the selected set"):
-            self.model.masked_forward(self.x, self.out.selected, [not_selected])
+    def test_malformed_mask_rejected(self):
+        # a slot mask cannot name an unselected basis; what can be wrong is its shape or dtype
+        malformed = [
+            np.ones((3, 4), dtype=bool),  # no subset axis
+            np.ones((1, 2, 4), dtype=bool),  # wrong batch size
+            np.ones((1, 3, 3), dtype=bool),  # wrong slot count
+            np.ones((1, 3, 4)),  # float, not bool
+            np.ones((1, 3, 4), dtype=np.int64),  # int, not bool
+        ]
+        for keep in malformed:
+            with pytest.raises(ValueError, match="bool slot mask"):
+                self.model.masked_forward(self.x, self.out.selected, keep)
 
 
 class TestAttribute:
@@ -460,11 +470,10 @@ class TestAxiomsRandomized:
             # A2 faithfulness via masked recomputation
             for b in range(2):
                 sel = out.selected[b]
-                full = model.masked_forward(x[b : b + 1], sel[None], sel)[0]
+                full = model.masked_forward(x[b : b + 1], sel[None], np.isin(sel, sel)[None, None])[0, 0]
                 for slot, f in enumerate(sel):
-                    partial = model.masked_forward(
-                        x[b : b + 1], sel[None], [i for i in sel if i != f]
-                    )[0]
+                    keep = np.isin(sel, [i for i in sel if i != f])[None, None]
+                    partial = model.masked_forward(x[b : b + 1], sel[None], keep)[0, 0]
                     a2 = np.abs(full - partial - out.contributions.data[b, slot]).max()
                     assert a2 < 1e-9
             # A3 null frequency, bit exact
