@@ -161,56 +161,68 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _check_broadcast(kind: str, a: np.ndarray, b: np.ndarray) -> None:
+def _elementwise(kind: str, op, a: Tensor, b: Tensor) -> np.ndarray:
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return op(a.data, b.data)
     except ValueError:
         raise ValueError(f"{kind}: shapes {a.shape} and {b.shape} are not broadcastable") from None
 
 
 # ---------------------------------------------------------------------------
 # elementwise binary ops
+#
+# A backward rule returns None for a parent that takes no gradient
+# (inputs, targets, constants), so backward never builds one to drop it.
 # ---------------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast("add", a.data, b.data)
+    out_data = _elementwise("add", np.add, a, b)
 
     def backward_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        )
 
-    return _make(a.data + b.data, (a, b), backward_fn)
+    return _make(out_data, (a, b), backward_fn)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast("sub", a.data, b.data)
+    out_data = _elementwise("sub", np.subtract, a, b)
 
     def backward_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+        )
 
-    return _make(a.data - b.data, (a, b), backward_fn)
+    return _make(out_data, (a, b), backward_fn)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast("mul", a.data, b.data)
+    out_data = _elementwise("mul", np.multiply, a, b)
 
     def backward_fn(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (
+            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+        )
 
-    return _make(a.data * b.data, (a, b), backward_fn)
+    return _make(out_data, (a, b), backward_fn)
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast("div", a.data, b.data)
-    out_data = a.data / b.data
+    out_data = _elementwise("div", np.divide, a, b)
 
     def backward_fn(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
+        return (
+            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None,
+        )
 
     return _make(out_data, (a, b), backward_fn)
 
@@ -236,9 +248,10 @@ def matmul(a, b) -> Tensor:
     out_data = a.data @ b.data
 
     def backward_fn(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
+        return (
+            _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None,
+            _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None,
+        )
 
     return _make(out_data, (a, b), backward_fn)
 
@@ -443,8 +456,10 @@ def transpose(x, axes: Sequence[int] | None = None) -> Tensor:
 
 def broadcast_to(x, shape) -> Tensor:
     x = _as_tensor(x)
-    _check_broadcast("broadcast", x.data, np.empty(shape))
-    out_data = np.broadcast_to(x.data, shape)
+    try:
+        out_data = np.broadcast_to(x.data, shape)
+    except ValueError:
+        raise ValueError(f"broadcast: shape {x.shape} does not broadcast to {tuple(shape)}") from None
 
     def backward_fn(g):
         return (_unbroadcast(g, x.shape),)

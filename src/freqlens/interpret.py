@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor
-from .model import ForwardOutput, FreqLens
+from .model import ForwardOutput, FreqLens, apply_heads
 
 __all__ = [
     "PeriodMatch",
@@ -377,19 +377,15 @@ def verify_axioms(model: FreqLens, inputs=None, tol: float = 1e-9,
     dev = float(np.abs(removed - out.contributions.data.transpose(1, 0, 2, 3)).max())
     checks["faithfulness"] = AxiomCheck(dev < tol, dev)
 
-    dev = max(
-        float(np.abs(model.head_contribution(k, Tensor(np.zeros((1, cfg.d)))).data).max())
-        for k in range(cfg.K)
-    )
+    dev = float(np.abs(model.head_contribution(Tensor(np.zeros((1, cfg.K, cfg.d)))).data).max())
     checks["null_frequency"] = AxiomCheck(dev == 0.0, dev)
 
-    twin = model.clone()
-    twin.head_w1[1].data = twin.head_w1[0].data.copy()
-    twin.head_w2[1].data = twin.head_w2[0].data.copy()
-    c_f = Tensor(np.random.default_rng(1).normal(size=(2, cfg.d)))
-    dev = float(
-        np.abs(twin.head_contribution(0, c_f).data - twin.head_contribution(1, c_f).data).max()
-    )
+    # two slots that share head 0's weights, fed identical coefficients
+    c_f = np.repeat(np.random.default_rng(1).normal(size=(2, 1, cfg.d)), 2, axis=1)
+    twins = apply_heads(
+        Tensor(c_f), Tensor(model.head_w1.data[[0, 0]]), Tensor(model.head_w2.data[[0, 0]]), (cfg.H, cfg.C)
+    ).data
+    dev = float(np.abs(twins[:, 0] - twins[:, 1]).max())
     checks["symmetry"] = AxiomCheck(dev == 0.0, dev)
 
     dev = 0.0

@@ -39,6 +39,7 @@ __all__ = [
     "build_bases",
     "project",
     "reconstruct",
+    "apply_heads",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -231,9 +232,28 @@ def _gumbel_noise(rng: np.random.Generator, shape) -> np.ndarray:
     return -np.log(-np.log(u))
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+def _xavier(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Glorot-uniform draw; the last two sizes are fan-in and fan-out.
+
+    A leading size stacks independent matrices in one draw, which reads
+    the same random stream as drawing them one after another.
+    """
+    fan_in, fan_out = shape[-2:]
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    return rng.uniform(-bound, bound, size=shape)
+
+
+def apply_heads(c_sel: Tensor, w1: Tensor, w2: Tensor, out_shape: tuple[int, int]) -> Tensor:
+    """K bias-free ReLU heads in one batched pass: c_sel [B, K, d] -> [B, K, *out_shape].
+
+    Slot k computes ``relu(c_sel[:, k] @ w1[k]) @ w2[k]`` with its own
+    weights ``w1 [K, d, d]`` and ``w2 [K, d, H*C]``; the K slots run as
+    one matmul pair batched over a leading K axis.
+    """
+    b, k, _ = c_sel.shape
+    h = ad.relu(ad.matmul(ad.transpose(c_sel, (1, 0, 2)), w1))  # [K, B, d]
+    out = ad.matmul(h, w2)  # [K, B, H*C]
+    return ad.transpose(out, (1, 0, 2)).reshape((b, k, *out_shape))
 
 
 class FreqLens:
@@ -259,29 +279,27 @@ class FreqLens:
         self.scorer_w1 = Tensor(_xavier(rng, c.d, SCORER_HIDDEN), requires_grad=True)
         self.scorer_w2 = Tensor(_xavier(rng, SCORER_HIDDEN, 1), requires_grad=True)
         self.scorer_bias = Tensor(np.zeros(c.N), requires_grad=True)
-        self.head_w1 = [Tensor(_xavier(rng, c.d, c.d), requires_grad=True) for _ in range(c.K)]
-        self.head_w2 = [Tensor(_xavier(rng, c.d, c.H * c.C), requires_grad=True) for _ in range(c.K)]
+        self.head_w1 = Tensor(_xavier(rng, c.K, c.d, c.d), requires_grad=True)
+        self.head_w2 = Tensor(_xavier(rng, c.K, c.d, c.H * c.C), requires_grad=True)
         self.residual_w1 = Tensor(_xavier(rng, c.L * c.C, c.d), requires_grad=True)
         self.residual_w2 = Tensor(_xavier(rng, c.d, c.H * c.C), requires_grad=True)
         self.fusion_logit = Tensor(0.0, requires_grad=True)  # sigmoid(0) = 0.5
 
     # -- parameter bookkeeping ----------------------------------------------
     def parameters(self) -> list[tuple[str, Tensor]]:
-        named = [
+        return [
             ("bank.theta", self.bank.theta),
             ("bank.phase", self.bank.phase),
             ("input_proj", self.input_proj),
             ("scorer.w1", self.scorer_w1),
             ("scorer.w2", self.scorer_w2),
             ("scorer.bias", self.scorer_bias),
+            ("heads.w1", self.head_w1),
+            ("heads.w2", self.head_w2),
+            ("residual.w1", self.residual_w1),
+            ("residual.w2", self.residual_w2),
+            ("fusion_logit", self.fusion_logit),
         ]
-        for k in range(self.config.K):
-            named.append((f"heads.{k}.w1", self.head_w1[k]))
-            named.append((f"heads.{k}.w2", self.head_w2[k]))
-        named.append(("residual.w1", self.residual_w1))
-        named.append(("residual.w2", self.residual_w2))
-        named.append(("fusion_logit", self.fusion_logit))
-        return named
 
     def trainable_parameters(self) -> list[tuple[str, Tensor]]:
         frozen = {"bank.theta", "bank.phase"} if self.bank.fixed else set()
@@ -325,11 +343,6 @@ class FreqLens:
                 raise ValueError(f"shape mismatch for {name}: {value.shape} vs {p.shape}")
             p.data = value.copy()
 
-    def clone(self) -> "FreqLens":
-        other = FreqLens(self.config)
-        other.load_state_dict(self.state_dict())
-        return other
-
     # -- forward pieces -------------------------------------------------------
     def _encode(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         """Input -> hidden -> bases -> coefficients; shared by all passes.
@@ -365,12 +378,9 @@ class FreqLens:
         selected = order[:, : cfg.K]
         return selected, weights
 
-    def head_contribution(self, slot: int, c_f: Tensor) -> Tensor:
-        """Contribution [B, H, C] of head ``slot`` for coefficients [B, d]."""
-        cfg = self.config
-        h = ad.relu(ad.matmul(c_f, self.head_w1[slot]))
-        out = ad.matmul(h, self.head_w2[slot])
-        return out.reshape((c_f.shape[0], cfg.H, cfg.C))
+    def head_contribution(self, c_sel: Tensor) -> Tensor:
+        """Contributions [B, K, H, C] of the K heads; head k reads c_sel[:, k] of c_sel [B, K, d]."""
+        return apply_heads(c_sel, self.head_w1, self.head_w2, (self.config.H, self.config.C))
 
     def _residual(self, x: Tensor) -> Tensor:
         cfg = self.config
@@ -404,18 +414,11 @@ class FreqLens:
         xt = Tensor(x)
         hidden, freqs, psi_bar, c = self._encode(xt)
         selected, weights = self.score_and_select(c, tau, training, rng)
-        c_sel = ad.gather_rows(c, selected)
-
+        contributions = self.head_contribution(ad.gather_rows(c, selected))
         if training:
             w_sel = ad.gather_rows(weights, selected)
             st = w_sel - w_sel.detach() + 1.0  # forward value is exactly 1
-        parts = []
-        for k in range(cfg.K):
-            contrib = self.head_contribution(k, c_sel[:, k, :])
-            if training:
-                contrib = contrib * st[:, k].reshape((b, 1, 1))
-            parts.append(contrib.reshape((b, 1, cfg.H, cfg.C)))
-        contributions = ad.concat(parts, axis=1)
+            contributions = contributions * st.reshape((b, cfg.K, 1, 1))
         y_freq = contributions.sum(axis=1)
 
         y_res = self._residual(xt)
@@ -460,9 +463,7 @@ class FreqLens:
                 f"got {keep.dtype} {keep.shape}"
             )
         *_, c = self._encode(Tensor(x))
-        c_sel = ad.gather_rows(c, selection)
-        parts = [self.head_contribution(k, c_sel[:, k, :]).data for k in range(cfg.K)]
-        stacked = np.stack(parts, axis=1)  # [B, K, H, C]
+        stacked = self.head_contribution(ad.gather_rows(c, selection)).data  # [B, K, H, C]
         # (stacked[None] * keep[..., None, None]).sum(axis=2), one row at a
         # time: the [S, B, K, H, C] product would raise peak memory by S
         # copies of the contributions.  Each row is the same reduction as
@@ -495,7 +496,7 @@ class FreqLens:
 # with fixed timestamps so identical models serialize to identical bytes
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(model: FreqLens, path, seed: int | None = None) -> None:

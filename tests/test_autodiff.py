@@ -34,6 +34,11 @@ class TestForwardValues:
         with pytest.raises(ValueError, match="add"):
             Tensor(np.ones(3)) + Tensor(np.ones(4))
 
+    @pytest.mark.parametrize("name", ["add", "sub", "mul", "div"])
+    def test_binary_shape_error_names_both_shapes(self, name):
+        with pytest.raises(ValueError, match=rf"^{name}: shapes \(2, 3\) and \(4,\) are not broadcastable$"):
+            getattr(ad, name)(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
+
     def test_log_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="log"):
             ad.log(Tensor([1.0, 0.0]))
@@ -236,6 +241,16 @@ class TestTapeDiscipline:
         out = Tensor([1.0]) + Tensor([2.0])
         assert not out.requires_grad
         assert out._backward is None
+
+    @pytest.mark.parametrize("name", ["matmul", "add", "sub", "mul", "div"])
+    def test_constant_parent_gets_no_gradient(self, name):
+        op = getattr(ad, name)
+        const, param = Tensor(np.full((2, 2), 2.0)), Tensor(np.full((2, 2), 3.0), requires_grad=True)
+        g = np.ones((2, 2))
+        ga, gb = op(const, param)._backward(g)
+        assert ga is None and gb.shape == (2, 2)
+        ga, gb = op(param, const)._backward(g)
+        assert ga.shape == (2, 2) and gb is None
 
     def test_ops_do_not_mutate_inputs(self):
         x = Tensor([1.0, 2.0], requires_grad=True)

@@ -245,6 +245,19 @@ class TestVerifyAxioms:
         ckpt = str(workspace["root"] / "run" / "checkpoint-1.ckpt")
         assert main(["verify-axioms", "--config", workspace["config"], "--checkpoint", ckpt]) == 0
 
+    def test_single_selected_frequency_passes(self, tmp_path):
+        # K=1 leaves one head, so the symmetry check cannot compare two of the model's heads
+        path = tmp_path / "k1.json"
+        path.write_text(json.dumps({"input_length": 16, "horizon": 4, "hidden_width": 4, "num_bases": 4, "top_k": 1}))
+        env = dict(os.environ, PYTHONPATH=str(Path(freqlens.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "freqlens.cli", "verify-axioms", "--config", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.count("PASS") == 5
+
 
 class TestUsageErrors:
     def test_unknown_command(self):
@@ -292,11 +305,22 @@ def _bad_manifest_json(tmp_path, good):
     return path
 
 
+def _version_1_manifest(tmp_path, good):
+    path = tmp_path / "version-1.ckpt"
+    with zipfile.ZipFile(good) as zf:
+        manifest = json.loads(zf.read("manifest.json"))
+    manifest["format_version"] = 1
+    _rewrite_checkpoint(good, path, replace={"manifest.json": json.dumps(manifest).encode()})
+    return path
+
+
 class TestCheckpointFailures:
     """A bad --checkpoint is a usage error: exit 1 and one line on stderr, no traceback."""
 
     @pytest.mark.parametrize(
-        "make_bad", [_not_a_zip, _a_directory, _missing_array, _bad_manifest_json], ids=lambda f: f.__name__
+        "make_bad",
+        [_not_a_zip, _a_directory, _missing_array, _bad_manifest_json, _version_1_manifest],
+        ids=lambda f: f.__name__,
     )
     def test_bad_checkpoint_exits_1_without_traceback(self, tmp_path, make_bad):
         good = tmp_path / "good.ckpt"

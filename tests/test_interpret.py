@@ -298,14 +298,20 @@ class TestVerifyAxioms:
         for name, check in checks.items():
             assert check.passed, f"{name} failed with deviation {check.max_deviation}"
 
+    def test_single_selected_frequency_satisfies_all(self):
+        checks = verify_axioms(small_model(seed=7, K=1))
+        assert len(checks) == 5
+        for name, check in checks.items():
+            assert check.passed, f"{name} failed with deviation {check.max_deviation}"
+
     def test_broken_head_bias_breaks_null_frequency(self):
         # planting a hidden bias by shifting weights does not break nullity,
         # but forging a nonzero contribution at zero coefficients must fail
         model = small_model(seed=8)
         original = model.head_contribution
 
-        def forged(slot, c_f):
-            out = original(slot, c_f)
+        def forged(c_sel):
+            out = original(c_sel)
             from freqlens.autodiff import Tensor, add
 
             return add(out, Tensor(np.full(out.shape, 1e-3)))

@@ -100,3 +100,22 @@ def test_batched_impacts_equal_gated_magnitudes(shape):
     expected = np.sqrt((out.contributions.data ** 2).sum(axis=(2, 3)))
     np.testing.assert_allclose(mags, expected, rtol=0, atol=1e-9)
     np.testing.assert_allclose(impacts, alpha * mags, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@_with_corners
+@example(shape=dict(L=5, H=2, C=3, d=3, N=3, K=1, B=1, S=1, seed=6, saturated=False))
+@given(shape=shapes())
+def test_contributions_equal_per_slot_numpy_reference(shape):
+    # the batched head pass is bit-identical to running each slot's head on its own
+    model, x, _ = _case(shape)
+    w1, w2 = model.head_w1.data, model.head_w2.data
+    cfg = model.config
+    for training in (False, True):
+        out = model.forward(x, training=training, rng=np.random.default_rng(shape["seed"]))
+        c_sel = out.coefficients.data[np.arange(x.shape[0])[:, None], out.selected]
+        for k in range(cfg.K):
+            expected = np.maximum(c_sel[:, k] @ w1[k], 0.0) @ w2[k]
+            np.testing.assert_array_equal(
+                out.contributions.data[:, k], expected.reshape(x.shape[0], cfg.H, cfg.C)
+            )

@@ -1,6 +1,9 @@
 """Model tests: frequency bank, bases, projection, selection, axioms."""
 
+import io
+import json
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -247,26 +250,48 @@ class TestSelection:
 class TestHeads:
     def test_zero_coefficient_gives_zero_bit_exact(self):
         model = FreqLens(small_config(seed=9))
-        out = model.head_contribution(0, Tensor(np.zeros((3, 8))))
+        out = model.head_contribution(Tensor(np.zeros((3, 4, 8))))
         assert np.all(out.data == 0.0)
 
     @pytest.mark.parametrize("scale", [0.5, 2.0])
     def test_positive_homogeneity(self, scale):
         model = FreqLens(small_config(seed=10))
         rng = np.random.default_rng(1)
-        c_f = rng.normal(size=(2, 8))
-        base = model.head_contribution(1, Tensor(c_f)).data
-        scaled = model.head_contribution(1, Tensor(scale * c_f)).data
+        c_sel = rng.normal(size=(2, 4, 8))
+        base = model.head_contribution(Tensor(c_sel)).data
+        scaled = model.head_contribution(Tensor(scale * c_sel)).data
         np.testing.assert_allclose(scaled, scale * base, rtol=1e-12)
 
     def test_identical_heads_identical_outputs(self):
         model = FreqLens(small_config(seed=11))
-        model.head_w1[1].data = model.head_w1[0].data.copy()
-        model.head_w2[1].data = model.head_w2[0].data.copy()
-        c_f = Tensor(np.random.default_rng(2).normal(size=(4, 8)))
-        a = model.head_contribution(0, c_f).data
-        b = model.head_contribution(1, c_f).data
-        np.testing.assert_array_equal(a, b)
+        model.head_w1.data[1] = model.head_w1.data[0]
+        model.head_w2.data[1] = model.head_w2.data[0]
+        c_f = np.random.default_rng(2).normal(size=(4, 1, 8))
+        out = model.head_contribution(Tensor(np.repeat(c_f, 4, axis=1))).data
+        np.testing.assert_array_equal(out[:, 0], out[:, 1])
+
+    def test_stacked_init_matches_per_head_draws(self):
+        # one [K, ...] draw reads the stream that K per-head draws read
+        cfg = small_config(seed=12)
+        model = FreqLens(cfg)
+        rng = np.random.default_rng(cfg.seed)
+        for fan_in, fan_out in ((cfg.C, cfg.d), (cfg.d, 32), (32, 1)):
+            model_module._xavier(rng, fan_in, fan_out)
+        w1 = [model_module._xavier(rng, cfg.d, cfg.d) for _ in range(cfg.K)]
+        w2 = [model_module._xavier(rng, cfg.d, cfg.H * cfg.C) for _ in range(cfg.K)]
+        np.testing.assert_array_equal(model.head_w1.data, np.stack(w1))
+        np.testing.assert_array_equal(model.head_w2.data, np.stack(w2))
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_tape_length_does_not_depend_on_k(self, training):
+        created = set()
+        for k in (1, 4, 8):
+            cfg = small_config(K=k)
+            model = FreqLens(cfg)
+            start = Tensor(0.0).node_id
+            model.forward(random_inputs(cfg), training=training, rng=np.random.default_rng(0))
+            created.add(Tensor(0.0).node_id - start)
+        assert len(created) == 1
 
 
 class TestForward:
@@ -423,7 +448,7 @@ class TestParameterCounts:
 
     def test_each_head_has_47104_parameters(self):
         model = FreqLens(ModelConfig())
-        per_head = model.head_w1[0].size + model.head_w2[0].size
+        per_head = model.head_w1.data[0].size + model.head_w2.data[0].size
         assert per_head == 47_104
 
 
@@ -444,6 +469,19 @@ class TestCheckpoint:
         save_checkpoint(FreqLens(cfg), a, seed=42)
         save_checkpoint(FreqLens(cfg), b, seed=42)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_version_2_layout_stacks_the_heads(self, tmp_path):
+        cfg = small_config(seed=43)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(FreqLens(cfg), path)
+        with zipfile.ZipFile(path) as zf:
+            manifest = json.loads(zf.read("manifest.json"))
+            w1 = np.load(io.BytesIO(zf.read("arrays/heads.w1.npy")))
+            w2 = np.load(io.BytesIO(zf.read("arrays/heads.w2.npy")))
+        assert manifest["format_version"] == 2
+        assert [n for n in manifest["arrays"] if n.startswith("heads.")] == ["heads.w1", "heads.w2"]
+        assert w1.shape == (cfg.K, cfg.d, cfg.d)
+        assert w2.shape == (cfg.K, cfg.d, cfg.H * cfg.C)
 
     def test_fixed_prior_roundtrip(self, tmp_path):
         cfg = ModelConfig(L=96, H=8, C=1, d=8, N=2, K=2, freq_mode="fixed-prior", prior_periods=(24, 12))
@@ -477,12 +515,11 @@ class TestAxiomsRandomized:
                     a2 = np.abs(full - partial - out.contributions.data[b, slot]).max()
                     assert a2 < 1e-9
             # A3 null frequency, bit exact
-            zero = model.head_contribution(0, Tensor(np.zeros((1, cfg.d))))
+            zero = model.head_contribution(Tensor(np.zeros((1, cfg.K, cfg.d))))
             assert np.all(zero.data == 0.0)
             # A4 symmetry, bit exact
-            model.head_w1[1].data = model.head_w1[0].data.copy()
-            model.head_w2[1].data = model.head_w2[0].data.copy()
-            c_f = Tensor(rng.normal(size=(2, cfg.d)))
-            np.testing.assert_array_equal(
-                model.head_contribution(0, c_f).data, model.head_contribution(1, c_f).data
-            )
+            model.head_w1.data[1] = model.head_w1.data[0]
+            model.head_w2.data[1] = model.head_w2.data[0]
+            c_f = rng.normal(size=(2, 1, cfg.d))
+            out = model.head_contribution(Tensor(np.repeat(c_f, cfg.K, axis=1))).data
+            np.testing.assert_array_equal(out[:, 0], out[:, 1])
