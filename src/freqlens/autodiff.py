@@ -37,7 +37,6 @@ __all__ = [
     "einsum",
     "square",
     "sqrt",
-    "absolute",
     "exp",
     "log",
     "cos",
@@ -241,11 +240,16 @@ def neg(a) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
-    """Matrix product ``a @ b`` with NumPy batch broadcasting."""
+    """Matrix product ``a @ b`` with NumPy batch broadcasting.
+
+    A length-1 contraction is the outer product ``a * b``, the same
+    values; NumPy runs ``@`` with inner size 1 without BLAS, slower
+    than the broadcast multiply.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: shapes {a.shape} and {b.shape} are not conformable")
-    out_data = a.data @ b.data
+    out_data = a.data * b.data if a.shape[-1] == 1 else a.data @ b.data
 
     def backward_fn(g):
         return (
@@ -337,15 +341,6 @@ def sqrt(x) -> Tensor:
         return (g * (0.5 / out_data),)
 
     return _make(out_data, (x,), backward_fn)
-
-
-def absolute(x) -> Tensor:
-    x = _as_tensor(x)
-
-    def backward_fn(g):
-        return (g * np.sign(x.data),)
-
-    return _make(np.abs(x.data), (x,), backward_fn)
 
 
 def exp(x) -> Tensor:

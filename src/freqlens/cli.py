@@ -34,7 +34,7 @@ from .interpret import (
 )
 from .model import FreqLens, ModelConfig, load_checkpoint, save_checkpoint
 from .stats import compute_metrics, paired_ttest
-from .training import LossWeights, TrainConfig, train
+from .training import LossWeights, NonFiniteGradientError, TrainConfig, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,7 +81,6 @@ CONFIG_REFERENCE = {
     "patience": (10, "early-stopping patience in epochs"),
     "lambda_div": (0.01, "weight of the frequency-gap barrier"),
     "lambda_recon": (0.1, "weight of the hidden reconstruction error"),
-    "lambda_sparse": (0.01, "weight of the selection L1 penalty"),
     "epsilon_div": (1e-6, "epsilon inside the gap barrier logarithm"),
     "known_periods": ([], "known physical periods in seconds, for discovery matching"),
     "delta": (0.15, "relative-error threshold for a period match"),
@@ -136,7 +135,6 @@ class RunConfig:
         return LossWeights(
             lambda_div=self.values["lambda_div"],
             lambda_recon=self.values["lambda_recon"],
-            lambda_sparse=self.values["lambda_sparse"],
             epsilon_div=self.values["epsilon_div"],
         )
 
@@ -503,12 +501,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (NonFiniteGradientError, RuntimeError) as exc:
+        # before the ValueError branch: the gradient error is a ValueError subclass
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

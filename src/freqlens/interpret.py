@@ -423,9 +423,9 @@ def export_loss_curves_csv(path, log) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["epoch", "loss_pred", "loss_div", "loss_recon", "loss_sparse", "loss_total", "val_mse", "tau", "lr"]
+            ["epoch", "loss_pred", "loss_div", "loss_recon", "loss_total", "val_mse", "tau", "lr"]
         )
         for r in log.records:
             writer.writerow(
-                [r.epoch, r.loss_pred, r.loss_div, r.loss_recon, r.loss_sparse, r.loss_total, r.val_mse, r.tau, r.lr]
+                [r.epoch, r.loss_pred, r.loss_div, r.loss_recon, r.loss_total, r.val_mse, r.tau, r.lr]
             )

@@ -1,10 +1,15 @@
 """Forecasting model with learnable frequency bases and additive attribution.
 
-Pipeline per window: project the input to a hidden space, decompose it
-onto N learnable cosine bases, score each basis and select the top-K,
-let one bias-free head per selected frequency produce an independent
-contribution, and fuse the exact sum of those contributions with a
-residual MLP through a learned gate.
+Pipeline per window: decompose the input onto N learnable cosine bases
+and map each basis coefficient to the hidden width, score each basis and
+select the top-K, let one bias-free head per selected frequency produce
+an independent contribution, and fuse the exact sum of those
+contributions with a residual MLP through a learned gate.
+
+The coefficients are ``psi_bar @ (x @ input_proj)``, the projection of
+the hidden features onto the bases.  Both maps are linear and bias-free,
+so they are computed in the cheaper order ``(psi_bar @ x) @ input_proj``:
+no pass builds the [B, L, d] hidden features.
 
 The strict additivity of the frequency path is the structural guarantee
 behind attribution: contributions sum exactly to the frequency
@@ -172,20 +177,21 @@ def build_bases(freqs: Tensor, phases: Tensor, L: int) -> tuple[Tensor, Tensor]:
     return psi, psi / norms
 
 
-def project(hidden: Tensor, psi_bar: Tensor) -> Tensor:
-    """Coefficients of hidden features on the normalized bases.
+def project(x: Tensor, psi_bar: Tensor) -> Tensor:
+    """Coefficients of a signal on the normalized bases.
 
-    c_i = sum_t psi_bar_i(t) * hidden[:, t, :]  (unit norms, so the
+    c_i = sum_t psi_bar_i(t) * x[:, t, :]  (unit norms, so the
     projection denominator is 1), computed as one batched matmul
-    ``psi_bar [N, L] @ hidden [B, L, d] -> c [B, N, d]``.
+    ``psi_bar [N, L] @ x [B, L, C] -> [B, N, C]``.  The model projects
+    the raw input window and maps the result to the hidden width after.
     """
-    return ad.matmul(psi_bar, hidden)
+    return ad.matmul(psi_bar, x)
 
 
 def reconstruct(c: Tensor, psi_bar: Tensor) -> Tensor:
-    """Hidden features rebuilt from their coefficients: sum_i c_i * psi_bar_i.
+    """Signal rebuilt from its coefficients: sum_i c_i * psi_bar_i.
 
-    ``psi_bar.T [L, N] @ c [B, N, d] -> [B, L, d]``.  Only the training
+    ``psi_bar.T [L, N] @ c [B, N, C] -> [B, L, C]``.  Only the training
     loss reads it, so evaluation passes never build it.
     """
     return ad.matmul(ad.transpose(psi_bar), c)
@@ -195,9 +201,10 @@ def reconstruct(c: Tensor, psi_bar: Tensor) -> Tensor:
 class ForwardOutput:
     """Everything one forward pass produces, on the live tape.
 
-    ``hidden`` and ``bases`` are kept so the training loss can rebuild
-    ``reconstruct(coefficients, bases)`` itself; the forward pass never
-    builds the reconstruction.
+    ``inputs``, ``input_coefficients``, ``input_proj`` and ``bases`` are
+    kept so the training loss can measure the reconstruction error
+    itself; the forward pass never builds the reconstruction, and no
+    pass builds the hidden features ``inputs @ input_proj``.
     """
 
     y_hat: Tensor  # [B, H, C]
@@ -206,8 +213,10 @@ class ForwardOutput:
     alpha: Tensor  # scalar gate in (0, 1)
     selected: np.ndarray  # [B, K] basis indices, slot k = k-th largest weight
     contributions: Tensor  # [B, K, H, C]
-    coefficients: Tensor  # [B, N, d]
-    hidden: Tensor  # [B, L, d] projected input; the loss reconstructs it from the coefficients
+    coefficients: Tensor  # [B, N, d] = input_coefficients @ input_proj
+    inputs: Tensor  # [B, L, C] input window (a constant)
+    input_coefficients: Tensor  # [B, N, C] = bases @ inputs
+    input_proj: Tensor  # [C, d] the live parameter, so the loss's gradient reaches it
     bases: Tensor  # [N, L] unit-norm bases the coefficients were projected on
     soft_weights: Tensor  # [B, N] selection weights (sum to 1 per sample)
     frequencies: Tensor  # [N]
@@ -345,14 +354,16 @@ class FreqLens:
 
     # -- forward pieces -------------------------------------------------------
     def _encode(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        """Input -> hidden -> bases -> coefficients; shared by all passes.
+        """Input -> bases -> coefficients [B, N, d]; shared by all passes.
 
-        Returns (hidden, freqs, psi_bar, c).
+        ``c = (psi_bar @ x) @ input_proj``, which equals the projection
+        of the hidden features ``psi_bar @ (x @ input_proj)`` without
+        building them.  Returns (freqs, psi_bar, xc, c).
         """
-        hidden = ad.matmul(x, self.input_proj)
         freqs = self.bank.frequencies()
         _, psi_bar = build_bases(freqs, self.bank.phase, self.config.L)
-        return hidden, freqs, psi_bar, project(hidden, psi_bar)
+        xc = project(x, psi_bar)
+        return freqs, psi_bar, xc, ad.matmul(xc, self.input_proj)
 
     def score_and_select(self, coefficients: Tensor, tau: float, training: bool,
                          rng: np.random.Generator | None = None) -> tuple[np.ndarray, Tensor]:
@@ -412,7 +423,7 @@ class FreqLens:
         b = x.shape[0]
 
         xt = Tensor(x)
-        hidden, freqs, psi_bar, c = self._encode(xt)
+        freqs, psi_bar, xc, c = self._encode(xt)
         selected, weights = self.score_and_select(c, tau, training, rng)
         contributions = self.head_contribution(ad.gather_rows(c, selected))
         if training:
@@ -432,7 +443,9 @@ class FreqLens:
             selected=selected,
             contributions=contributions,
             coefficients=c,
-            hidden=hidden,
+            inputs=xt,
+            input_coefficients=xc,
+            input_proj=self.input_proj,
             bases=psi_bar,
             soft_weights=weights,
             frequencies=freqs,
@@ -467,10 +480,15 @@ class FreqLens:
         # (stacked[None] * keep[..., None, None]).sum(axis=2), one row at a
         # time: the [S, B, K, H, C] product would raise peak memory by S
         # copies of the contributions.  Each row is the same reduction as
-        # forward's contributions.sum(axis=1), hence bit-identical.
+        # forward's contributions.sum(axis=1), hence bit-identical: the
+        # product goes to a buffer with the strides of ``stacked``, because
+        # NumPy's summation order over the slot axis follows the strides
+        # (a plain product can come out C-ordered, e.g. when H * C == 1).
         masked = np.empty((keep.shape[0], b, cfg.H, cfg.C))
+        kept = np.empty_like(stacked)
         for s, row in enumerate(keep):
-            np.sum(stacked * row[:, :, None, None], axis=1, out=masked[s])
+            np.multiply(stacked, row[:, :, None, None], out=kept)
+            masked[s] = kept.sum(axis=1)
         return masked
 
     def attribute(self, output: ForwardOutput) -> AttributionReport:

@@ -1,12 +1,11 @@
 """Loss terms, optimizer, schedules, and the deterministic training loop.
 
-The objective combines the forecast error with three regularizers:
-a log-barrier on consecutive log-frequency gaps (keeps learned
-frequencies from collapsing onto each other), the hidden-space
-reconstruction error (keeps the bases spanning the signal), and an L1
-penalty on the selection weights.  Fixed-prior models swap the gap
-barrier for an orthogonality penalty on per-frequency features, since
-their frequencies cannot move.
+The objective combines the forecast error with two regularizers: a
+log-barrier on consecutive log-frequency gaps (keeps learned frequencies
+from collapsing onto each other) and the hidden-space reconstruction
+error (keeps the bases spanning the signal).  Fixed-prior models swap
+the gap barrier for an orthogonality penalty on per-frequency features,
+since their frequencies cannot move.
 
 Training is bit-reproducible for a given seed: batch order, selection
 noise, and initialization all derive from it.
@@ -26,6 +25,7 @@ from .model import ForwardOutput, FreqLens, reconstruct
 
 __all__ = [
     "LossWeights",
+    "NonFiniteGradientError",
     "TrainConfig",
     "EpochRecord",
     "TrainLog",
@@ -43,7 +43,6 @@ __all__ = [
 class LossWeights:
     lambda_div: float = 0.01
     lambda_recon: float = 0.1
-    lambda_sparse: float = 0.01
     epsilon_div: float = 1e-6
 
     def __post_init__(self):
@@ -81,7 +80,6 @@ class EpochRecord:
     loss_pred: float
     loss_div: float
     loss_recon: float
-    loss_sparse: float
     loss_total: float
     val_mse: float
     tau: float
@@ -154,14 +152,17 @@ def orthogonality_loss(features: Tensor) -> Tensor:
 
 def total_loss(output: ForwardOutput, target: np.ndarray, freqs: Tensor,
                weights: LossWeights, freq_mode: str = "learnable") -> tuple[Tensor, dict[str, float]]:
-    """Prediction MSE plus diversity/orthogonality, reconstruction, and sparsity.
+    """Prediction MSE plus diversity/orthogonality and reconstruction.
 
     Fixed-prior mode replaces the frequency-gap barrier with the
     orthogonality penalty on batch-averaged per-frequency coefficients.
     The reconstruction term is the mean squared error of
-    ``reconstruct(coefficients, bases)`` against ``hidden``; it is built
-    here because no forward pass builds it.  Returns the scalar loss and
-    its components as plain floats.
+    ``reconstruct(coefficients, bases)`` against the hidden features
+    ``h = x W`` (``W`` the input projection, ``d`` wide).  Both are ``r W``
+    apart, with ``r = reconstruct(input_coefficients, bases) - x`` the
+    input-space residual, so with ``r`` flattened to ``[B*L, C]`` the
+    term is ``sum((r^T r) * (W W^T)) / (B*L*d)``: nothing ``[B, L, d]``
+    is built.  Returns the scalar loss and its components as plain floats.
     """
     pred = ad.square(output.y_hat - Tensor(np.asarray(target, dtype=np.float64))).mean()
     if freq_mode == "fixed-prior":
@@ -170,19 +171,17 @@ def total_loss(output: ForwardOutput, target: np.ndarray, freqs: Tensor,
         reg = diversity_loss(freqs, weights.epsilon_div)
     else:
         reg = Tensor(0.0)  # a single frequency has no gaps to keep apart
-    sparse = ad.absolute(output.soft_weights).sum(axis=1).mean()
-    recon = ad.square(reconstruct(output.coefficients, output.bases) - output.hidden).mean()
-    total = (
-        pred
-        + weights.lambda_div * reg
-        + weights.lambda_recon * recon
-        + weights.lambda_sparse * sparse
-    )
+    w = output.input_proj
+    channels, width = w.shape
+    r = (reconstruct(output.input_coefficients, output.bases) - output.inputs).reshape((-1, channels))
+    gram_r = ad.matmul(ad.transpose(r), r)  # [C, C]
+    gram_w = ad.matmul(w, ad.transpose(w))  # [C, C]
+    recon = (gram_r * gram_w).sum() / (r.shape[0] * width)
+    total = pred + weights.lambda_div * reg + weights.lambda_recon * recon
     components = {
         "pred": float(pred.data),
         "div": float(reg.data),
         "recon": float(recon.data),
-        "sparse": float(sparse.data),
         "total": float(total.data),
     }
     return total, components
@@ -191,6 +190,10 @@ def total_loss(output: ForwardOutput, target: np.ndarray, freqs: Tensor,
 # ---------------------------------------------------------------------------
 # optimizer and schedules
 # ---------------------------------------------------------------------------
+
+class NonFiniteGradientError(ValueError):
+    """A gradient holds NaN or inf: a numeric failure, not a usage error."""
+
 
 class Adam:
     """Adam with a differential learning rate for the frequency parameters.
@@ -225,7 +228,7 @@ class Adam:
             g = grads.get(p.node_id)
             g = np.zeros_like(p.data) if g is None else g.data
             if not np.all(np.isfinite(g)):
-                raise ValueError(f"non-finite gradient for parameter {name!r}")
+                raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
             resolved.append(g)
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
@@ -302,7 +305,7 @@ def train(model: FreqLens, train_data, val_data, config: TrainConfig,
     for epoch in range(config.epochs):
         lr, tau = schedules(epoch, config.epochs, config)
         order = shuffle_rng.permutation(n)
-        sums = {"pred": 0.0, "div": 0.0, "recon": 0.0, "sparse": 0.0, "total": 0.0}
+        sums = {"pred": 0.0, "div": 0.0, "recon": 0.0, "total": 0.0}
         n_batches = 0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
@@ -325,7 +328,6 @@ def train(model: FreqLens, train_data, val_data, config: TrainConfig,
                 loss_pred=sums["pred"] / n_batches,
                 loss_div=sums["div"] / n_batches,
                 loss_recon=sums["recon"] / n_batches,
-                loss_sparse=sums["sparse"] / n_batches,
                 loss_total=sums["total"] / n_batches,
                 val_mse=val_mse,
                 tau=tau,

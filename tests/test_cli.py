@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import freqlens
+from freqlens import training
+from freqlens.autodiff import Tensor
 from freqlens.cli import (
     CONFIG_REFERENCE,
     ConfigError,
@@ -77,6 +79,14 @@ class TestConfig:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"lambda_variance": 0.1}))
         with pytest.raises(ConfigError, match="unknown config keys.*lambda_variance"):
+            load_config(str(path))
+        assert main(["verify-axioms", "--config", str(path)]) == 1
+
+    def test_removed_lambda_sparse_key_rejected(self, tmp_path):
+        # the sparsity term sum|softmax| was constant and is gone with its weight
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"lambda_sparse": 0.01}))
+        with pytest.raises(ConfigError, match="unknown config keys.*lambda_sparse"):
             load_config(str(path))
         assert main(["verify-axioms", "--config", str(path)]) == 1
 
@@ -270,6 +280,23 @@ class TestUsageErrors:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"out_dir": str(tmp_path)}))
         assert main(["train", "--config", str(path)]) == 1
+
+
+class TestNumericFailures:
+    def test_nan_gradient_exits_3_with_one_line(self, workspace, tmp_path, monkeypatch, capsys):
+        real_backward = training.backward
+
+        def nan_backward(loss):
+            return {k: Tensor(np.full_like(g.data, np.nan)) for k, g in real_backward(loss).items()}
+
+        monkeypatch.setattr(training, "backward", nan_backward)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(workspace["raw"], out_dir=str(tmp_path / "nan"), seeds=[1])))
+        capsys.readouterr()
+        assert main(["train", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite gradient" in err
+        assert "Traceback" not in err
 
 
 def _rewrite_checkpoint(src: Path, dst: Path, drop=(), replace=None) -> None:

@@ -331,9 +331,9 @@ class TestExports:
         assert len(lines) == 1 + model.config.N
 
     def test_loss_curves_csv(self, tmp_path):
-        log = TrainLog([EpochRecord(0, 1, 0.1, 0.2, 1, 1.3, 0.9, 1.0, 1e-3, [0.1])])
+        log = TrainLog([EpochRecord(0, 1, 0.1, 0.2, 1.3, 0.9, 1.0, 1e-3, [0.1])])
         path = tmp_path / "loss.csv"
         export_loss_curves_csv(path, log)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
-        assert lines[0].startswith("epoch,loss_pred")
+        assert lines[0] == "epoch,loss_pred,loss_div,loss_recon,loss_total,val_mse,tau,lr"

@@ -43,6 +43,8 @@ CORNERS = [
     dict(L=4, H=2, C=1, d=3, N=1, K=1, B=2, S=3, seed=3, saturated=True),
     dict(L=6, H=1, C=1, d=2, N=9, K=9, B=2, S=2, seed=4, saturated=False),
     dict(L=6, H=4, C=3, d=5, N=6, K=3, B=4, S=2, seed=5, saturated=True),
+    # K >= 8 and H * C == 1: the slot sum is order-sensitive and the contributions are a strided view
+    dict(L=6, H=1, C=1, d=6, N=9, K=8, B=2, S=1, seed=383124355, saturated=False),
 ]
 
 

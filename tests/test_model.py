@@ -7,6 +7,8 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from freqlens import autodiff as ad
 from freqlens import model as model_module
@@ -22,6 +24,7 @@ from freqlens.model import (
     reconstruct,
     save_checkpoint,
 )
+from freqlens.training import LossWeights, total_loss
 
 
 def small_config(**overrides):
@@ -33,6 +36,20 @@ def small_config(**overrides):
 def random_inputs(config, batch=3, seed=0):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(batch, config.L, config.C))
+
+
+@st.composite
+def encoder_dims(draw):
+    n = draw(st.integers(1, 8))
+    return dict(
+        L=draw(st.integers(2, 12)),
+        C=draw(st.integers(1, 4)),
+        d=draw(st.integers(1, 6)),
+        N=n,
+        K=draw(st.integers(1, n)),
+        B=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
 
 
 class TestFrequencyMapping:
@@ -189,6 +206,42 @@ class TestProjection:
         out = model.forward(x, training=False)
         model.masked_forward(x, out.selected, np.isin(out.selected, [])[None])
         model.attribute(out)
+
+    @settings(max_examples=40, deadline=None)
+    @example(dims=dict(L=5, C=3, d=4, N=1, K=1, B=1, seed=1))
+    @example(dims=dict(L=7, C=3, d=2, N=4, K=4, B=2, seed=2))
+    @given(dims=encoder_dims())
+    def test_coefficients_equal_projected_hidden_features(self, dims):
+        # (psi_bar @ x) @ input_proj is psi_bar @ (x @ input_proj) up to rounding
+        dims = dict(dims)
+        b = dims.pop("B")
+        model = FreqLens(ModelConfig(H=2, **dims))
+        x = np.random.default_rng(dims["seed"]).normal(size=(b, dims["L"], dims["C"]))
+        out = model.forward(x)
+        expected = out.bases.data @ (x @ model.input_proj.data)
+        np.testing.assert_allclose(out.coefficients.data, expected, rtol=0, atol=1e-12)
+
+    def test_no_pass_builds_hidden_features(self, monkeypatch):
+        # L != N and d != C, so a [B, L, d] array cannot be mistaken for another
+        b, cfg = 3, small_config(L=10, C=2, d=6, N=5, K=2, seed=9)
+        model = FreqLens(cfg)
+        x = random_inputs(cfg, b, seed=9)
+        y = np.zeros((b, cfg.H, cfg.C))
+        shapes = []
+        make = ad._make
+
+        def recording(out_data, parents, backward_fn):
+            shapes.append(out_data.shape)
+            return make(out_data, parents, backward_fn)
+
+        monkeypatch.setattr(ad, "_make", recording)
+        out = model.forward(x, training=False)
+        model.masked_forward(x, out.selected, np.ones((2, b, cfg.K), dtype=bool))
+        total_loss(out, y, out.frequencies, LossWeights())
+        out = model.forward(x, training=True, rng=np.random.default_rng(9))
+        total_loss(out, y, out.frequencies, LossWeights())
+        assert (b, cfg.N, cfg.d) in shapes  # the recorder saw the coefficients
+        assert (b, cfg.L, cfg.d) not in shapes
 
 
 class TestSelection:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from freqlens.autodiff import Tensor, backward, check_gradients
+from freqlens.autodiff import Tensor, backward, check_gradients, finite_difference
 from freqlens.model import FreqLens, ModelConfig
 from freqlens.training import (
     Adam,
@@ -110,18 +110,11 @@ class TestTotalLoss:
         x = rng.normal(size=(2, 8, 1))
         y = rng.normal(size=(2, 4, 1))
         out = model.forward(x)
-        weights = LossWeights(lambda_div=0, lambda_recon=0, lambda_sparse=0)
+        weights = LossWeights(lambda_div=0, lambda_recon=0)
         loss, comps = total_loss(out, y, out.frequencies, weights)
         mse = float(((out.y_hat.data - y) ** 2).mean())
         assert loss.item() == pytest.approx(mse, rel=1e-15)
         assert comps["pred"] == pytest.approx(mse, rel=1e-15)
-
-    def test_sparsity_term_is_one_for_softmax_weights(self):
-        model = tiny_model()
-        x = np.random.default_rng(4).normal(size=(3, 8, 1))
-        out = model.forward(x)
-        _, comps = total_loss(out, np.zeros((3, 4, 1)), out.frequencies, LossWeights())
-        assert comps["sparse"] == pytest.approx(1.0, abs=1e-12)
 
     def test_perfect_prediction_leaves_only_regularizers(self):
         model = tiny_model(N=1, K=1)
@@ -132,7 +125,7 @@ class TestTotalLoss:
         loss, comps = total_loss(out, y, out.frequencies, weights, freq_mode="learnable")
         assert comps["pred"] == 0.0
         assert comps["div"] == 0.0  # single basis: no gaps
-        expected = weights.lambda_recon * comps["recon"] + weights.lambda_sparse * comps["sparse"]
+        expected = weights.lambda_recon * comps["recon"]
         assert loss.item() == pytest.approx(expected, rel=1e-12)
 
     def test_fixed_prior_uses_orthogonality(self):
@@ -146,13 +139,34 @@ class TestTotalLoss:
         assert comps["div"] == pytest.approx(expected, rel=1e-12)
 
     def test_recon_term_matches_numpy(self):
-        model = tiny_model()
-        x = np.random.default_rng(7).normal(size=(3, 8, 1))
-        out = model.forward(x)
-        _, comps = total_loss(out, np.zeros((3, 4, 1)), out.frequencies, LossWeights())
-        psi_bar, c, hidden = out.bases.data, out.coefficients.data, out.hidden.data
-        expected = float(np.mean((psi_bar.T @ c - hidden) ** 2))
-        assert comps["recon"] == pytest.approx(expected, rel=1e-12)
+        # C=3: the Gram form of the loss mixes channels through W W^T
+        for channels in (1, 3):
+            model = tiny_model(C=channels)
+            x = np.random.default_rng(7).normal(size=(3, 8, channels))
+            out = model.forward(x)
+            _, comps = total_loss(out, np.zeros((3, 4, channels)), out.frequencies, LossWeights())
+            psi_bar, c = out.bases.data, out.coefficients.data
+            hidden = x @ model.input_proj.data
+            expected = float(np.mean((psi_bar.T @ c - hidden) ** 2))
+            assert comps["recon"] == pytest.approx(expected, rel=1e-12)
+
+    def test_gradients_match_finite_differences_multichannel(self):
+        # the reconstruction term mixes channels through W W^T; criterion 02 covers C=1 only
+        model = tiny_model(C=3, d=5, seed=4)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 8, 3))
+        y = rng.normal(size=(2, 4, 3))
+
+        def loss_of():
+            out = model.forward(x, tau=0.5)
+            return total_loss(out, y, out.frequencies, LossWeights())[0]
+
+        params = [p for _, p in model.parameters()]
+        grads = backward(loss_of())
+        numeric = finite_difference(lambda: loss_of().item(), params, eps=1e-6)
+        for (name, p), fd in zip(model.parameters(), numeric):
+            analytic = grads[p.node_id].data if p.node_id in grads else np.zeros_like(p.data)
+            np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8, err_msg=name)
 
 
 class TestAdam:
@@ -318,8 +332,8 @@ class TestTrainLogSerialization:
     def test_jsonl_roundtrip(self, tmp_path):
         log = TrainLog(
             [
-                EpochRecord(0, 1.0, 0.1, 0.2, 1.0, 1.31, 0.9, 1.0, 1e-3, [0.1, 0.2]),
-                EpochRecord(1, 0.8, 0.1, 0.2, 1.0, 1.11, 0.7, 0.9, 9e-4, [0.11, 0.21]),
+                EpochRecord(0, 1.0, 0.1, 0.2, 1.31, 0.9, 1.0, 1e-3, [0.1, 0.2]),
+                EpochRecord(1, 0.8, 0.1, 0.2, 1.11, 0.7, 0.9, 9e-4, [0.11, 0.21]),
             ]
         )
         path = tmp_path / "log.jsonl"
