@@ -21,7 +21,7 @@ constants.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,8 +45,6 @@ __all__ = [
     "softmax",
     "reshape",
     "transpose",
-    "broadcast_to",
-    "concat",
     "clip_min",
     "clip",
     "gather_rows",
@@ -61,13 +59,12 @@ _node_ids = itertools.count()
 class Tensor:
     """Dense float64 array, optionally tracked for reverse-mode gradients."""
 
-    __slots__ = ("data", "requires_grad", "node_id", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "node_id", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.node_id = next(_node_ids)
-        self.grad: Tensor | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], tuple] | None = None
 
@@ -449,34 +446,6 @@ def transpose(x, axes: Sequence[int] | None = None) -> Tensor:
     return _make(out_data, (x,), backward_fn)
 
 
-def broadcast_to(x, shape) -> Tensor:
-    x = _as_tensor(x)
-    try:
-        out_data = np.broadcast_to(x.data, shape)
-    except ValueError:
-        raise ValueError(f"broadcast: shape {x.shape} does not broadcast to {tuple(shape)}") from None
-
-    def backward_fn(g):
-        return (_unbroadcast(g, x.shape),)
-
-    return _make(out_data, (x,), backward_fn)
-
-
-def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    parts = tuple(_as_tensor(t) for t in tensors)
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward_fn(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(parts))
-        )
-
-    return _make(out_data, parts, backward_fn)
-
-
 def _getitem(x: Tensor, index) -> Tensor:
     out_data = x.data[index]
 
@@ -533,15 +502,17 @@ def sort_ascending(x) -> tuple[Tensor, np.ndarray]:
 # backward pass
 # ---------------------------------------------------------------------------
 
-def backward(loss: Tensor) -> dict[int, Tensor]:
+def backward(loss: Tensor) -> dict[int, np.ndarray]:
     """Accumulate d(loss)/d(node) for every tracked node reachable from ``loss``.
 
-    Returns a map from node id to gradient tensor and stores the same
-    gradient on each tensor's ``grad`` attribute.  Repeated use of a node
-    sums the gradients from all its consumers.
+    Returns a map from node id to gradient array, one entry per tracked
+    node the loss depends on.  Repeated use of a node sums the gradients
+    from all its consumers.
     """
     if loss.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
+    if not loss.requires_grad:
+        return {}
 
     nodes: dict[int, Tensor] = {}
     stack = [loss]
@@ -563,14 +534,7 @@ def backward(loss: Tensor) -> dict[int, Tensor]:
                 continue
             acc = grads.get(parent.node_id)
             grads[parent.node_id] = pg if acc is None else acc + pg
-
-    result: dict[int, Tensor] = {}
-    for nid, t in nodes.items():
-        if t.requires_grad and nid in grads:
-            gt = Tensor(grads[nid])
-            t.grad = gt
-            result[nid] = gt
-    return result
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +572,7 @@ def check_gradients(f: Callable[[Tensor], Tensor], point: Tensor, eps: float = 1
     p = Tensor(np.array(point.data, copy=True), requires_grad=True)
     loss = f(p)
     grads = backward(loss)
-    analytic = grads[p.node_id].data if p.node_id in grads else np.zeros_like(p.data)
+    analytic = grads.get(p.node_id, np.zeros_like(p.data))
     numeric = finite_difference(lambda: f(Tensor(p.data)).item(), [p], eps=eps)[0]
     rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
     return float(rel.max())

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SplitSpec, fit_apply_zscore, load_csv, make_windows, save_csv, synth_series
+from .atomic import atomic_write
+from .data import SplitSpec, WindowSet, fit_apply_zscore, load_csv, make_windows, save_csv, synth_series
 from .interpret import (
     alpha_report,
     build_discovery_report,
@@ -195,7 +196,7 @@ def config_reference_text() -> str:
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _load_windows(cfg: RunConfig):
+def _load_windows(cfg: RunConfig) -> dict[str, WindowSet]:
     if cfg.dataset is None:
         raise ConfigError("this command needs a 'dataset' path in the config")
     table = load_csv(
@@ -205,9 +206,8 @@ def _load_windows(cfg: RunConfig):
         step_duration=cfg.step_duration,
     )
     split = cfg.split_spec()
-    normalized, stats = fit_apply_zscore(table, split)
-    windows = make_windows(normalized, cfg.input_length, cfg.horizon, split)
-    return table, normalized, stats, windows
+    normalized, _ = fit_apply_zscore(table, split)
+    return make_windows(normalized, cfg.input_length, cfg.horizon, split)
 
 
 def _seed_list(cfg: RunConfig, args) -> list[int]:
@@ -230,7 +230,8 @@ def _checkpoint_paths(run_dir: Path) -> list[Path]:
 
 
 def _dump_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +259,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    _, _, _, windows = _load_windows(cfg)
+    windows = _load_windows(cfg)
     out = _out_dir(cfg, args)
     channels = windows["train"].inputs.shape[2]
     for seed in _seed_list(cfg, args):
@@ -273,7 +274,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
-    _, _, _, windows = _load_windows(cfg)
+    windows = _load_windows(cfg)
     dataset = windows[args.split]
     run_dir = Path(args.run)
     per_seed = {}
@@ -288,11 +289,8 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
                 f"{path.name}: checkpoint shape (L={model.config.L}, H={model.config.H}, "
                 f"C={model.config.C}) does not match the configured data"
             )
-        preds = []
-        for start in range(0, dataset.inputs.shape[0], 256):
-            out = model.forward(dataset.inputs[start : start + 256], training=False)
-            preds.append(out.y_hat.data)
-        metrics = compute_metrics(np.concatenate(preds), dataset.targets)
+        y_hat = np.concatenate([out.y_hat.data for out in model.forward_batches(dataset.inputs)])
+        metrics = compute_metrics(y_hat, dataset.targets)
         per_seed[str(seed)] = {
             "mse": metrics.mse,
             "mae": metrics.mae,
@@ -324,7 +322,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
 
 
 def cmd_discover(cfg: RunConfig, args) -> int:
-    _, _, _, windows = _load_windows(cfg)
+    windows = _load_windows(cfg)
     run_dir = Path(args.run)
     delta = args.delta if args.delta is not None else cfg.delta
     known_steps = [p / cfg.step_duration for p in cfg.known_periods]
@@ -352,7 +350,7 @@ def cmd_discover(cfg: RunConfig, args) -> int:
 
 
 def cmd_attribute(cfg: RunConfig, args) -> int:
-    _, _, _, windows = _load_windows(cfg)
+    windows = _load_windows(cfg)
     dataset = windows[args.split]
     if not 0 <= args.index < dataset.inputs.shape[0]:
         raise ConfigError(
@@ -388,7 +386,7 @@ def cmd_attribute(cfg: RunConfig, args) -> int:
 
 
 def cmd_faithfulness(cfg: RunConfig, args) -> int:
-    _, _, _, windows = _load_windows(cfg)
+    windows = _load_windows(cfg)
     model, seed = load_checkpoint(args.checkpoint)
     k_list = [args.topk] if args.topk is not None else list(cfg.faithfulness_k)
     results = faithfulness_test(model, windows["test"].inputs, k_list)
@@ -409,17 +407,17 @@ def cmd_verify_axioms(cfg: RunConfig, args) -> int:
         model, _ = load_checkpoint(args.checkpoint)
     else:
         seed = args.seed if args.seed is not None else int(cfg.seeds[0])
-        channels = 1 if cfg.dataset is None else None
-        if channels is None:
-            _, _, _, windows = _load_windows(cfg)
-            channels = windows["train"].inputs.shape[2]
+        channels = 1 if cfg.dataset is None else _load_windows(cfg)["train"].inputs.shape[2]
         model = FreqLens(cfg.model_config(channels, seed))
     checks = verify_axioms(model)
     failed = [name for name, check in checks.items() if not check.passed]
     for name, check in checks.items():
         status = "PASS" if check.passed else "FAIL"
         print(f"{name}: {status} (max deviation {check.max_deviation:.3e})")
-    return EXIT_VERIFICATION if failed else EXIT_OK
+    if failed:
+        print(f"verification failure: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_VERIFICATION
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

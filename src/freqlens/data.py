@@ -9,12 +9,16 @@ windows use stride 1 and never span a split boundary.
 from __future__ import annotations
 
 import csv
+import io
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .atomic import atomic_write
 
 __all__ = [
     "SeriesTable",
@@ -58,7 +62,6 @@ class SeriesTable:
 class NormStats:
     mean: np.ndarray  # [C]
     std: np.ndarray  # [C], population (1/n) convention
-    convention: str = "population"
 
 
 @dataclass
@@ -122,53 +125,61 @@ class WindowSet(NamedTuple):
 
 def load_csv(path, timestamp_column: str = "date", columns: Sequence[str] | None = None,
              step_duration: float = 3600.0) -> SeriesTable:
-    """Parse a numeric CSV with a header row.
+    """Parse a numeric UTF-8 CSV with a header row.
 
     A column whose header matches ``timestamp_column`` is excluded from
     the channels.  ``columns`` restricts the channels (header names).
-    Rows containing NaN or empty cells are dropped with a warning;
-    anything else non-numeric raises with its row/column position.
+    Rows containing NaN or empty cells are dropped with a warning; an
+    infinite cell, or anything else non-numeric, raises with its
+    row/column position.  Every error names ``path``.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        keep = [i for i, name in enumerate(header) if name.lower() != timestamp_column.lower()]
-        if columns is not None:
-            wanted = list(columns)
-            missing = [c for c in wanted if c not in header]
-            if missing:
-                raise ValueError(f"{path}: columns not found: {missing}")
-            keep = [header.index(c) for c in wanted]
-        names = [header[i] for i in keep]
-        if not names:
-            raise ValueError(f"{path}: no numeric channels after excluding the timestamp column")
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    keep = [i for i, name in enumerate(header) if name.lower() != timestamp_column.lower()]
+    if columns is not None:
+        wanted = list(columns)
+        missing = [c for c in wanted if c not in header]
+        if missing:
+            raise ValueError(f"{path}: columns not found: {missing}")
+        keep = [header.index(c) for c in wanted]
+    names = [header[i] for i in keep]
+    if not names:
+        raise ValueError(f"{path}: no numeric channels after excluding the timestamp column")
 
-        rows = []
-        nan_rows = 0
-        for r, row in enumerate(reader, start=2):  # header is line 1
-            parsed = np.empty(len(keep))
-            has_nan = False
-            for j, i in enumerate(keep):
-                cell = row[i].strip() if i < len(row) else ""
-                if cell == "":
-                    has_nan = True
-                    continue
-                try:
-                    parsed[j] = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: unparseable cell {cell!r} at row {r}, column {header[i]!r}"
-                    ) from None
-                if np.isnan(parsed[j]):
-                    has_nan = True
-            if has_nan:
-                nan_rows += 1
+    rows = []
+    nan_rows = 0
+    for r, row in enumerate(reader, start=2):  # header is line 1
+        parsed = np.empty(len(keep))
+        has_nan = False
+        for j, i in enumerate(keep):
+            cell = row[i].strip() if i < len(row) else ""
+            if cell == "":
+                has_nan = True
                 continue
-            rows.append(parsed)
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: unparseable cell {cell!r} at row {r}, column {header[i]!r}"
+                ) from None
+            if math.isinf(value):
+                raise ValueError(f"{path}: infinite cell {cell!r} at row {r}, column {header[i]!r}")
+            if math.isnan(value):
+                has_nan = True
+            parsed[j] = value
+        if has_nan:
+            nan_rows += 1
+            continue
+        rows.append(parsed)
     if nan_rows:
         warnings.warn(f"{path}: dropped {nan_rows} rows containing NaN")
     if not rows:
@@ -178,7 +189,7 @@ def load_csv(path, timestamp_column: str = "date", columns: Sequence[str] | None
 
 def save_csv(table: SeriesTable, path) -> None:
     """Write the same CSV dialect the loader reads (header + numeric rows)."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(table.channel_names)
         for row in table.values:

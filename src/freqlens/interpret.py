@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .autodiff import Tensor
 from .model import ForwardOutput, FreqLens, apply_heads
 
@@ -183,7 +184,7 @@ def _leave_one_out(b: int, k: int) -> np.ndarray:
     return np.broadcast_to(rows[:, None, :], (k + 1, b, k))
 
 
-def per_frequency_impacts(model: FreqLens, inputs, tau: float | None = None, max_samples: int = 64,
+def per_frequency_impacts(model: FreqLens, inputs, max_samples: int = 64,
                           output: ForwardOutput | None = None) -> tuple[np.ndarray, np.ndarray, float]:
     """Removal impact of each selected frequency, by masked recomputation.
 
@@ -197,7 +198,7 @@ def per_frequency_impacts(model: FreqLens, inputs, tau: float | None = None, max
     magnitudes are read.
     """
     x = np.asarray(inputs, dtype=np.float64)[:max_samples]
-    out = model.forward(x, tau=tau, training=False) if output is None else output
+    out = model.forward(x, training=False) if output is None else output
     alpha = float(out.alpha.data)
     mags = np.sqrt((out.contributions.data ** 2).sum(axis=(2, 3)))
     rows = model.masked_forward(x, out.selected, _leave_one_out(*out.selected.shape))
@@ -206,8 +207,7 @@ def per_frequency_impacts(model: FreqLens, inputs, tau: float | None = None, max
     return mags, impacts, alpha
 
 
-def faithfulness_test(model: FreqLens, inputs, k_list, tau: float | None = None,
-                      max_samples: int = 64) -> list[FaithfulnessResult]:
+def faithfulness_test(model: FreqLens, inputs, k_list, max_samples: int = 64) -> list[FaithfulnessResult]:
     """Remove the top-k attributed frequencies and measure prediction change.
 
     Frequencies are ranked per sample by attribution magnitude; the
@@ -220,7 +220,7 @@ def faithfulness_test(model: FreqLens, inputs, k_list, tau: float | None = None,
     "top-k removed" mask per distinct k (sizes above K collapse onto K).
     """
     x = np.asarray(inputs, dtype=np.float64)[:max_samples]
-    out = model.forward(x, tau=tau, training=False)
+    out = model.forward(x, training=False)
     mags, impacts, alpha = per_frequency_impacts(model, x, output=out)
     correlation = _pearson(mags, impacts)
 
@@ -267,13 +267,10 @@ def alpha_report(models) -> AlphaSummary:
     return AlphaSummary(values, float(np.mean(values)), float(np.std(values)))
 
 
-def selection_counts(model: FreqLens, inputs, tau: float | None = None,
-                     batch_size: int = 256) -> np.ndarray:
+def selection_counts(model: FreqLens, inputs) -> np.ndarray:
     """How often each basis index is selected over a window set."""
-    x = np.asarray(inputs, dtype=np.float64)
     counts = np.zeros(model.config.N, dtype=np.int64)
-    for start in range(0, x.shape[0], batch_size):
-        out = model.forward(x[start : start + batch_size], tau=tau, training=False)
+    for out in model.forward_batches(np.asarray(inputs, dtype=np.float64)):
         np.add.at(counts, out.selected.ravel(), 1)
     return counts
 
@@ -350,8 +347,7 @@ class AxiomCheck:
     max_deviation: float
 
 
-def verify_axioms(model: FreqLens, inputs=None, tol: float = 1e-9,
-                  rng: np.random.Generator | None = None) -> dict[str, AxiomCheck]:
+def verify_axioms(model: FreqLens, inputs=None, tol: float = 1e-9) -> dict[str, AxiomCheck]:
     """Check the four attribution axioms plus Shapley equivalence.
 
     Holds for any weights by construction, so a randomly initialized
@@ -363,8 +359,7 @@ def verify_axioms(model: FreqLens, inputs=None, tol: float = 1e-9,
     """
     cfg = model.config
     if inputs is None:
-        rng = np.random.default_rng(0) if rng is None else rng
-        inputs = rng.normal(size=(2, cfg.L, cfg.C))
+        inputs = np.random.default_rng(0).normal(size=(2, cfg.L, cfg.C))
     x = np.asarray(inputs, dtype=np.float64)
     out = model.forward(x)
     checks: dict[str, AxiomCheck] = {}
@@ -408,7 +403,7 @@ def export_spectrum_csv(path, model: FreqLens, known_periods_steps=(), delta: fl
     known = np.asarray(list(known_periods_steps), dtype=np.float64)
     if counts is None:
         counts = np.zeros(model.config.N, dtype=np.int64)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["basis_index", "frequency", "period_steps", "selection_count", "matched"])
         for i in range(model.config.N):
@@ -420,7 +415,7 @@ def export_spectrum_csv(path, model: FreqLens, known_periods_steps=(), delta: fl
 
 def export_loss_curves_csv(path, log) -> None:
     """Per-epoch loss components and validation error, one row per epoch."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["epoch", "loss_pred", "loss_div", "loss_recon", "loss_total", "val_mse", "tau", "lr"]

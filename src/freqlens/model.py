@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .atomic import atomic_write
 from .autodiff import Tensor
 
 SCORER_HIDDEN = 32
@@ -115,10 +116,6 @@ class FrequencyBank:
         self.fixed_freqs = fixed_freqs
 
     @property
-    def n_bases(self) -> int:
-        return self.theta.size
-
-    @property
     def fixed(self) -> bool:
         return self.fixed_freqs is not None
 
@@ -201,10 +198,10 @@ def reconstruct(c: Tensor, psi_bar: Tensor) -> Tensor:
 class ForwardOutput:
     """Everything one forward pass produces, on the live tape.
 
-    ``inputs``, ``input_coefficients``, ``input_proj`` and ``bases`` are
-    kept so the training loss can measure the reconstruction error
-    itself; the forward pass never builds the reconstruction, and no
-    pass builds the hidden features ``inputs @ input_proj``.
+    ``inputs``, ``input_coefficients`` and ``bases`` are kept so the
+    training loss can measure the reconstruction error itself; the
+    forward pass never builds the reconstruction, and no pass builds
+    the hidden features ``inputs @ input_proj``.
     """
 
     y_hat: Tensor  # [B, H, C]
@@ -216,7 +213,6 @@ class ForwardOutput:
     coefficients: Tensor  # [B, N, d] = input_coefficients @ input_proj
     inputs: Tensor  # [B, L, C] input window (a constant)
     input_coefficients: Tensor  # [B, N, C] = bases @ inputs
-    input_proj: Tensor  # [C, d] the live parameter, so the loss's gradient reaches it
     bases: Tensor  # [N, L] unit-norm bases the coefficients were projected on
     soft_weights: Tensor  # [B, N] selection weights (sum to 1 per sample)
     frequencies: Tensor  # [N]
@@ -445,11 +441,15 @@ class FreqLens:
             coefficients=c,
             inputs=xt,
             input_coefficients=xc,
-            input_proj=self.input_proj,
             bases=psi_bar,
             soft_weights=weights,
             frequencies=freqs,
         )
+
+    def forward_batches(self, x, tau: float | None = None, batch_size: int = 256):
+        """Evaluation ``forward`` over ``x`` in consecutive batches, one output per batch."""
+        for start in range(0, x.shape[0], batch_size):
+            yield self.forward(x[start : start + batch_size], tau=tau, training=False)
 
     def masked_forward(self, x, selection: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """Frequency prediction of every slot mask in ``keep`` [S, B, K] -> [S, B, H, C].
@@ -524,7 +524,7 @@ def save_checkpoint(model: FreqLens, path, seed: int | None = None) -> None:
         "seed": seed,
         "arrays": [name for name, _ in model.parameters()],
     }
-    with zipfile.ZipFile(path, "w") as zf:
+    with atomic_write(path, binary=True) as fh, zipfile.ZipFile(fh, "w") as zf:
         def put(name: str, payload: bytes) -> None:
             info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
             info.compress_type = zipfile.ZIP_DEFLATED

@@ -20,8 +20,10 @@ from typing import Iterable
 import numpy as np
 
 from . import autodiff as ad
+from .atomic import atomic_write
 from .autodiff import Tensor, backward
 from .model import ForwardOutput, FreqLens, reconstruct
+from .stats import compute_metrics
 
 __all__ = [
     "LossWeights",
@@ -97,7 +99,7 @@ class TrainLog:
         return "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in self.records)
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write(self.to_jsonl())
 
     @classmethod
@@ -150,28 +152,29 @@ def orthogonality_loss(features: Tensor) -> Tensor:
     return ad.square(gram - eye).mean()
 
 
-def total_loss(output: ForwardOutput, target: np.ndarray, freqs: Tensor,
-               weights: LossWeights, freq_mode: str = "learnable") -> tuple[Tensor, dict[str, float]]:
+def total_loss(model: FreqLens, output: ForwardOutput, target: np.ndarray,
+               weights: LossWeights) -> tuple[Tensor, dict[str, float]]:
     """Prediction MSE plus diversity/orthogonality and reconstruction.
 
-    Fixed-prior mode replaces the frequency-gap barrier with the
-    orthogonality penalty on batch-averaged per-frequency coefficients.
-    The reconstruction term is the mean squared error of
-    ``reconstruct(coefficients, bases)`` against the hidden features
-    ``h = x W`` (``W`` the input projection, ``d`` wide).  Both are ``r W``
-    apart, with ``r = reconstruct(input_coefficients, bases) - x`` the
-    input-space residual, so with ``r`` flattened to ``[B*L, C]`` the
-    term is ``sum((r^T r) * (W W^T)) / (B*L*d)``: nothing ``[B, L, d]``
-    is built.  Returns the scalar loss and its components as plain floats.
+    ``output`` is a forward pass of ``model``.  A fixed-prior model
+    replaces the frequency-gap barrier with the orthogonality penalty on
+    batch-averaged per-frequency coefficients.  The reconstruction term
+    is the mean squared error of ``reconstruct(coefficients, bases)``
+    against the hidden features ``h = x W`` (``W`` the model's input
+    projection, ``d`` wide).  Both are ``r W`` apart, with
+    ``r = reconstruct(input_coefficients, bases) - x`` the input-space
+    residual, so with ``r`` flattened to ``[B*L, C]`` the term is
+    ``sum((r^T r) * (W W^T)) / (B*L*d)``: nothing ``[B, L, d]`` is
+    built.  Returns the scalar loss and its components as plain floats.
     """
     pred = ad.square(output.y_hat - Tensor(np.asarray(target, dtype=np.float64))).mean()
-    if freq_mode == "fixed-prior":
+    if model.config.freq_mode == "fixed-prior":
         reg = orthogonality_loss(output.coefficients.mean(axis=0))
-    elif freqs.size >= 2:
-        reg = diversity_loss(freqs, weights.epsilon_div)
+    elif output.frequencies.size >= 2:
+        reg = diversity_loss(output.frequencies, weights.epsilon_div)
     else:
         reg = Tensor(0.0)  # a single frequency has no gaps to keep apart
-    w = output.input_proj
+    w = model.input_proj
     channels, width = w.shape
     r = (reconstruct(output.input_coefficients, output.bases) - output.inputs).reshape((-1, channels))
     gram_r = ad.matmul(ad.transpose(r), r)  # [C, C]
@@ -216,7 +219,7 @@ class Adam:
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params}
 
-    def step(self, grads: dict[int, Tensor], lr: float) -> None:
+    def step(self, grads: dict[int, np.ndarray], lr: float) -> None:
         """One update of every parameter, or none.
 
         Every gradient is checked before any state changes, so a
@@ -226,7 +229,7 @@ class Adam:
         resolved = []
         for name, p in self.params:
             g = grads.get(p.node_id)
-            g = np.zeros_like(p.data) if g is None else g.data
+            g = np.zeros_like(p.data) if g is None else g
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
             resolved.append(g)
@@ -258,16 +261,8 @@ def schedules(epoch: int, total_epochs: int, config: TrainConfig) -> tuple[float
 
 def evaluate_mse(model: FreqLens, dataset, tau: float, batch_size: int = 256) -> float:
     """Mean squared forecast error over a window set, in evaluation mode."""
-    inputs, targets = dataset[0], dataset[1]
-    total = 0.0
-    count = 0
-    for start in range(0, inputs.shape[0], batch_size):
-        x = inputs[start : start + batch_size]
-        y = targets[start : start + batch_size]
-        out = model.forward(x, tau=tau, training=False)
-        total += float(((out.y_hat.data - y) ** 2).sum())
-        count += y.size
-    return total / count
+    y_hat = np.concatenate([out.y_hat.data for out in model.forward_batches(dataset[0], tau, batch_size)])
+    return compute_metrics(y_hat, dataset[1]).mse
 
 
 def train(model: FreqLens, train_data, val_data, config: TrainConfig,
@@ -310,7 +305,7 @@ def train(model: FreqLens, train_data, val_data, config: TrainConfig,
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             out = model.forward(x_train[idx], tau=tau, training=True, rng=gumbel_rng)
-            loss, comps = total_loss(out, y_train[idx], out.frequencies, weights, model.config.freq_mode)
+            loss, comps = total_loss(model, out, y_train[idx], weights)
             if not math.isfinite(comps["total"]):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {n_batches}: {comps}"

@@ -139,11 +139,11 @@ def test_criterion_02_gradient_correctness():
 
     def loss_value() -> float:
         out = model.forward(x, tau=0.5, training=False)
-        loss, _ = total_loss(out, y, out.frequencies, weights, "learnable")
+        loss, _ = total_loss(model, out, y, weights)
         return float(loss.data)
 
     out = model.forward(x, tau=0.5, training=False)
-    loss, _ = total_loss(out, y, out.frequencies, weights, "learnable")
+    loss, _ = total_loss(model, out, y, weights)
     grads = backward(loss)
     names = [name for name, _ in model.parameters()]
     params = [p for _, p in model.parameters()]
@@ -151,7 +151,7 @@ def test_criterion_02_gradient_correctness():
     worst = 0.0
     worst_name = ""
     for name, p, fd in zip(names, params, numeric):
-        analytic = grads[p.node_id].data if p.node_id in grads else np.zeros_like(p.data)
+        analytic = grads.get(p.node_id, np.zeros_like(p.data))
         rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(analytic))
         if rel.max() > worst:
             worst, worst_name = float(rel.max()), name

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,6 @@ import pytest
 
 import freqlens
 from freqlens import training
-from freqlens.autodiff import Tensor
 from freqlens.cli import (
     CONFIG_REFERENCE,
     ConfigError,
@@ -287,7 +287,7 @@ class TestNumericFailures:
         real_backward = training.backward
 
         def nan_backward(loss):
-            return {k: Tensor(np.full_like(g.data, np.nan)) for k, g in real_backward(loss).items()}
+            return {k: np.full_like(g, np.nan) for k, g in real_backward(loss).items()}
 
         monkeypatch.setattr(training, "backward", nan_backward)
         path = tmp_path / "c.json"
@@ -296,6 +296,54 @@ class TestNumericFailures:
         assert main(["train", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "non-finite gradient" in err
+        assert "Traceback" not in err
+
+
+def _infinite_csv_cell(tmp_path, monkeypatch, raw):
+    data = tmp_path / "inf.csv"
+    data.write_text("value\n1.0\n2.0\ninf\n3.0\n")
+    return "train", dict(raw, dataset=str(data))
+
+
+def _biased_head(tmp_path, monkeypatch, raw):
+    # a head with a bias gives a nonzero contribution at a zero coefficient
+    real = FreqLens.head_contribution
+    monkeypatch.setattr(FreqLens, "head_contribution", lambda self, c_sel: real(self, c_sel) + 1e-3)
+    return "verify-axioms", raw
+
+
+def _non_finite_loss(tmp_path, monkeypatch, raw):
+    real = training.total_loss
+
+    def inf_loss(*args):
+        loss, comps = real(*args)
+        return loss, dict(comps, total=math.inf)
+
+    monkeypatch.setattr(training, "total_loss", inf_loss)
+    return "train", raw
+
+
+class TestFailureExitCodes:
+    """Each failure class exits with its documented code and one stderr line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "forge,code,message",
+        [
+            (_infinite_csv_cell, 1, "infinite cell 'inf' at row 4, column 'value'"),
+            (_biased_head, 2, "verification failure: null_frequency"),
+            (_non_finite_loss, 3, "numeric failure: non-finite loss at epoch 0, batch 0"),
+        ],
+        ids=["infinite_csv_cell", "biased_head", "non_finite_loss"],
+    )
+    def test_exit_code_and_one_line(self, workspace, tmp_path, monkeypatch, capsys, forge, code, message):
+        raw = dict(workspace["raw"], out_dir=str(tmp_path / "out"), seeds=[1])
+        command, raw = forge(tmp_path, monkeypatch, raw)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main([command, "--config", str(path)]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, err
         assert "Traceback" not in err
 
 

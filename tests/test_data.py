@@ -1,5 +1,8 @@
 """Data pipeline tests: CSV ingestion, z-scoring, splits, windows, synthesis."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +65,18 @@ class TestLoadCsv:
         path = write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(ValueError, match="not found"):
             load_csv(path, columns=["z"])
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e400", "-Infinity"])
+    def test_infinite_cell_reports_position(self, tmp_path, cell):
+        path = write(tmp_path, f"a,b\n1,2\n3,{cell}\n")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: infinite cell '{cell}' at row 3, column 'b'"):
+            load_csv(path)
+
+    def test_non_utf8_file_names_path(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b\n1,2\n\xff,4\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
+            load_csv(path)
 
     def test_roundtrip_through_save(self, tmp_path):
         table = synth_series([(24, 1.0, 0.3)], noise_std=0.05, length=50, seed=1)
@@ -236,3 +251,42 @@ class TestSynth:
     def test_trend(self):
         table = synth_series([], trend_slope=0.5, length=10)
         np.testing.assert_allclose(table.values[:, 0], 0.5 * np.arange(10))
+
+
+# cells a CSV can hold: numbers, NaN spellings, infinities, empty, junk
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", " ", "nan", "NaN", "inf", "-inf", "1e400", "x", "1,5", '"2"']),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def csv_bytes(draw):
+    """A header and ragged rows, optionally with bytes that are not UTF-8."""
+    width = draw(st.integers(1, 3))
+    header = ",".join(f"c{i}" for i in range(width))
+    rows = draw(st.lists(st.lists(CELLS, min_size=0, max_size=width + 1), max_size=6))
+    text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+    data = text.encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\x80"])) + data[at:]
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=csv_bytes())
+def test_load_csv_returns_finite_table_or_names_path(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.csv"
+    path.write_bytes(data)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # dropped NaN rows
+            table = load_csv(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        assert "\n" not in str(exc)
+    else:
+        assert table.values.shape[0] >= 1
+        assert np.all(np.isfinite(table.values))
