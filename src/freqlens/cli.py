@@ -72,8 +72,8 @@ CONFIG_REFERENCE = {
     "top_k": (8, "selected frequencies K per sample"),
     "freq_mode": ("learnable", "'learnable' or 'fixed-prior'"),
     "prior_periods": (None, "fixed-prior periods in steps (requires freq_mode='fixed-prior')"),
-    "gumbel_tau_start": (1.0, "selection temperature at the first epoch"),
-    "gumbel_tau_end": (0.1, "selection temperature at the final epoch"),
+    "gumbel_tau_start": (1.0, "training selection temperature at the first epoch"),
+    "gumbel_tau_end": (0.1, "training selection temperature at the final epoch"),
     "force_alpha": (None, "pin the fusion gate to this value (1.0 = frequency path only)"),
     "epochs": (50, "training epochs"),
     "base_lr": (1e-3, "base learning rate (cosine-annealed)"),
@@ -114,8 +114,6 @@ class RunConfig:
             K=self.values["top_k"],
             freq_mode=self.values["freq_mode"],
             prior_periods=tuple(prior) if prior else None,
-            gumbel_tau_start=self.values["gumbel_tau_start"],
-            gumbel_tau_end=self.values["gumbel_tau_end"],
             seed=seed,
             force_alpha=self.values["force_alpha"],
         )
@@ -196,7 +194,8 @@ def config_reference_text() -> str:
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _load_windows(cfg: RunConfig) -> dict[str, WindowSet]:
+def _load_windows(cfg: RunConfig, *needed: str) -> dict[str, WindowSet]:
+    """Windows of every nonempty split; each split named in ``needed`` must have rows."""
     if cfg.dataset is None:
         raise ConfigError("this command needs a 'dataset' path in the config")
     table = load_csv(
@@ -207,7 +206,11 @@ def _load_windows(cfg: RunConfig) -> dict[str, WindowSet]:
     )
     split = cfg.split_spec()
     normalized, _ = fit_apply_zscore(table, split)
-    return make_windows(normalized, cfg.input_length, cfg.horizon, split)
+    windows = make_windows(normalized, cfg.input_length, cfg.horizon, split)
+    for name in needed:
+        if name not in windows:
+            raise ConfigError(f"the {name!r} split is empty: the configured split assigns it no rows")
+    return windows
 
 
 def _seed_list(cfg: RunConfig, args) -> list[int]:
@@ -259,7 +262,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    windows = _load_windows(cfg)
+    windows = _load_windows(cfg, "train", "val")
     out = _out_dir(cfg, args)
     channels = windows["train"].inputs.shape[2]
     for seed in _seed_list(cfg, args):
@@ -274,7 +277,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
-    windows = _load_windows(cfg)
+    windows = _load_windows(cfg, args.split)
     dataset = windows[args.split]
     run_dir = Path(args.run)
     per_seed = {}
@@ -322,7 +325,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
 
 
 def cmd_discover(cfg: RunConfig, args) -> int:
-    windows = _load_windows(cfg)
+    windows = _load_windows(cfg, "test")
     run_dir = Path(args.run)
     delta = args.delta if args.delta is not None else cfg.delta
     known_steps = [p / cfg.step_duration for p in cfg.known_periods]
@@ -350,7 +353,7 @@ def cmd_discover(cfg: RunConfig, args) -> int:
 
 
 def cmd_attribute(cfg: RunConfig, args) -> int:
-    windows = _load_windows(cfg)
+    windows = _load_windows(cfg, args.split)
     dataset = windows[args.split]
     if not 0 <= args.index < dataset.inputs.shape[0]:
         raise ConfigError(
@@ -386,7 +389,7 @@ def cmd_attribute(cfg: RunConfig, args) -> int:
 
 
 def cmd_faithfulness(cfg: RunConfig, args) -> int:
-    windows = _load_windows(cfg)
+    windows = _load_windows(cfg, "test")
     model, seed = load_checkpoint(args.checkpoint)
     k_list = [args.topk] if args.topk is not None else list(cfg.faithfulness_k)
     results = faithfulness_test(model, windows["test"].inputs, k_list)
@@ -407,7 +410,7 @@ def cmd_verify_axioms(cfg: RunConfig, args) -> int:
         model, _ = load_checkpoint(args.checkpoint)
     else:
         seed = args.seed if args.seed is not None else int(cfg.seeds[0])
-        channels = 1 if cfg.dataset is None else _load_windows(cfg)["train"].inputs.shape[2]
+        channels = 1 if cfg.dataset is None else _load_windows(cfg, "train")["train"].inputs.shape[2]
         model = FreqLens(cfg.model_config(channels, seed))
     checks = verify_axioms(model)
     failed = [name for name, check in checks.items() if not check.passed]

@@ -68,8 +68,6 @@ class ModelConfig:
     K: int = 8
     freq_mode: str = "learnable"  # or "fixed-prior"
     prior_periods: tuple[float, ...] | None = None
-    gumbel_tau_start: float = 1.0
-    gumbel_tau_end: float = 0.1
     seed: int = 0
     force_alpha: float | None = None  # pin the fusion gate (1.0 = frequency path only)
 
@@ -91,18 +89,20 @@ class ModelConfig:
                     f"fixed-prior mode needs N == len(prior_periods); "
                     f"got N={self.N}, {len(self.prior_periods)} periods"
                 )
-        if self.gumbel_tau_start <= 0 or self.gumbel_tau_end <= 0:
-            raise ValueError("Gumbel temperatures must be positive")
         if self.force_alpha is not None and not 0.0 <= self.force_alpha <= 1.0:
             raise ValueError("force_alpha must lie in [0, 1]")
+
+
+def _frequency_range(L: int) -> tuple[float, float]:
+    """Bounds (f_min, f_max) of the bank: the longest period 10 L, the Nyquist frequency."""
+    return 1.0 / (10.0 * L), 0.5
 
 
 class FrequencyBank:
     """Raw frequency parameters and the bounded sigmoid mapping.
 
-    f_i = f_min + (f_max - f_min) * sigmoid(theta_i), with
-    f_min = 1/(10 L) (longest observable period) and f_max = 0.5 (the
-    Nyquist frequency).  The sigmoid keeps every frequency strictly
+    f_i = f_min + (f_max - f_min) * sigmoid(theta_i), with (f_min, f_max)
+    from ``_frequency_range``.  The sigmoid keeps every frequency strictly
     inside (f_min, f_max) with nonzero gradient everywhere, unlike hard
     clamping.  In fixed-prior mode theta/phase are frozen and the
     frequencies equal 1/period exactly for the configured periods.
@@ -111,8 +111,7 @@ class FrequencyBank:
     def __init__(self, theta: Tensor, phase: Tensor, L: int, fixed_freqs: np.ndarray | None = None):
         self.theta = theta
         self.phase = phase
-        self.f_min = 1.0 / (10.0 * L)
-        self.f_max = 0.5
+        self.f_min, self.f_max = _frequency_range(L)
         self.fixed_freqs = fixed_freqs
 
     @property
@@ -135,7 +134,6 @@ def init_frequency_bank(config: ModelConfig) -> FrequencyBank:
     [1/L, 0.5] and inverts the sigmoid mapping so the initial
     frequencies reproduce the targets; phases start at 0.
     """
-    f_min, f_max = 1.0 / (10.0 * config.L), 0.5
     if config.freq_mode == "fixed-prior":
         periods = np.asarray(config.prior_periods, dtype=np.float64)
         if np.any(periods <= 2.0):
@@ -149,6 +147,7 @@ def init_frequency_bank(config: ModelConfig) -> FrequencyBank:
         targets = np.array([np.exp(0.5 * (lo + hi))])
     else:
         targets = np.exp(np.linspace(lo, hi, config.N))
+    f_min, f_max = _frequency_range(config.L)
     t = (targets - f_min) / (f_max - f_min)
     t = np.minimum(t, np.nextafter(1.0, 0.0))  # top target touches f_max; keep logit finite
     theta = Tensor(np.log(t / (1.0 - t)), requires_grad=True)
@@ -156,12 +155,12 @@ def init_frequency_bank(config: ModelConfig) -> FrequencyBank:
     return FrequencyBank(theta, phase, config.L)
 
 
-def build_bases(freqs: Tensor, phases: Tensor, L: int) -> tuple[Tensor, Tensor]:
-    """Cosine bases psi_i(t) = cos(2 pi f_i t + phi_i) for t = 0..L-1.
+def build_bases(freqs: Tensor, phases: Tensor, L: int) -> Tensor:
+    """Unit-l2-norm cosine bases psi_i(t) / ||psi_i|| [N, L], t = 0..L-1.
 
-    Returns the raw bases [N, L] and their unit-l2-norm rows.  Near-zero
-    rows (only possible for pathological phases) are floored at 1e-8
-    with a diagnostic instead of dividing by ~0.
+    psi_i(t) = cos(2 pi f_i t + phi_i).  Near-zero rows (only possible
+    for pathological phases) are floored at 1e-8 with a diagnostic
+    instead of dividing by ~0.
     """
     n = freqs.size
     t = Tensor(np.arange(L, dtype=np.float64))
@@ -171,7 +170,7 @@ def build_bases(freqs: Tensor, phases: Tensor, L: int) -> tuple[Tensor, Tensor]:
     if np.any(norms.data < 1e-8):
         warnings.warn("near-zero cosine basis row; flooring its norm at 1e-8")
         norms = ad.clip_min(norms, 1e-8)
-    return psi, psi / norms
+    return psi / norms
 
 
 def project(x: Tensor, psi_bar: Tensor) -> Tensor:
@@ -208,13 +207,12 @@ class ForwardOutput:
     y_freq: Tensor  # [B, H, C], exact sum of contributions
     y_res: Tensor  # [B, H, C]
     alpha: Tensor  # scalar gate in (0, 1)
-    selected: np.ndarray  # [B, K] basis indices, slot k = k-th largest weight
+    selected: np.ndarray  # [B, K] basis indices, slot k = k-th largest score
     contributions: Tensor  # [B, K, H, C]
     coefficients: Tensor  # [B, N, d] = input_coefficients @ input_proj
     inputs: Tensor  # [B, L, C] input window (a constant)
     input_coefficients: Tensor  # [B, N, C] = bases @ inputs
     bases: Tensor  # [N, L] unit-norm bases the coefficients were projected on
-    soft_weights: Tensor  # [B, N] selection weights (sum to 1 per sample)
     frequencies: Tensor  # [N]
 
 
@@ -275,9 +273,9 @@ class FreqLens:
     share across threads for inference.
     """
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
+    def __init__(self, config: ModelConfig):
         self.config = config
-        rng = np.random.default_rng(config.seed) if rng is None else rng
+        rng = np.random.default_rng(config.seed)
         c = config
         self.bank = init_frequency_bank(c)
         self.input_proj = Tensor(_xavier(rng, c.C, c.d), requires_grad=True)
@@ -357,32 +355,33 @@ class FreqLens:
         building them.  Returns (freqs, psi_bar, xc, c).
         """
         freqs = self.bank.frequencies()
-        _, psi_bar = build_bases(freqs, self.bank.phase, self.config.L)
+        psi_bar = build_bases(freqs, self.bank.phase, self.config.L)
         xc = project(x, psi_bar)
         return freqs, psi_bar, xc, ad.matmul(xc, self.input_proj)
 
-    def score_and_select(self, coefficients: Tensor, tau: float, training: bool,
-                         rng: np.random.Generator | None = None) -> tuple[np.ndarray, Tensor]:
-        """Score each basis and pick the top-K selection weights per sample.
+    def score_and_select(self, coefficients: Tensor, training: bool, tau: float | None = None,
+                         rng: np.random.Generator | None = None) -> tuple[np.ndarray, Tensor | None]:
+        """Score each basis and pick the top-K scores per sample.
 
         Scores are a shared bias-free MLP of each coefficient plus a
-        per-basis offset.  Training adds Gumbel(0,1) noise before the
-        tempered softmax; evaluation is noise-free.  The returned index
-        array is ordered by decreasing weight (slot k of the heads is
-        bound to the k-th strongest frequency).
+        per-basis offset; slot k of the returned indices [B, K] holds
+        the k-th highest score.  Evaluation selects from the scores and
+        returns no weights.  Training adds Gumbel(0,1) noise from
+        ``rng``, selects from the noisy scores, and also returns their
+        tempered softmax [B, N] for the straight-through weights.
         """
-        if tau <= 0:
-            raise ValueError(f"temperature must be positive, got {tau}")
         cfg = self.config
         h = ad.relu(ad.matmul(coefficients, self.scorer_w1))
         scores = ad.matmul(h, self.scorer_w2).reshape((coefficients.shape[0], cfg.N)) + self.scorer_bias
+        weights = None
         if training:
-            if rng is None:
-                raise ValueError("training selection requires an rng for Gumbel noise")
+            if tau is None or rng is None:
+                raise ValueError("training selection requires a temperature tau and an rng for Gumbel noise")
+            if tau <= 0:
+                raise ValueError(f"temperature must be positive, got {tau}")
             scores = scores + Tensor(_gumbel_noise(rng, scores.shape))
-        weights = ad.softmax(scores / tau, axis=-1)
-        order = np.argsort(-weights.data, axis=1, kind="stable")
-        selected = order[:, : cfg.K]
+            weights = ad.softmax(scores / tau, axis=-1)
+        selected = np.argsort(-scores.data, axis=1, kind="stable")[:, : cfg.K]
         return selected, weights
 
     def head_contribution(self, c_sel: Tensor) -> Tensor:
@@ -401,26 +400,26 @@ class FreqLens:
             return Tensor(self.config.force_alpha)
         return ad.sigmoid(self.fusion_logit)
 
-    def forward(self, x, tau: float | None = None, training: bool = False,
+    def forward(self, x, training: bool = False, tau: float | None = None,
                 rng: np.random.Generator | None = None) -> ForwardOutput:
         """One pass: decompose, select, attribute, fuse.
 
-        During training each contribution is multiplied by a
-        straight-through weight whose forward value is exactly 1: the
-        selection weights receive prediction-loss gradient without
-        perturbing the additive identity in any mode.
+        A training pass needs the selection temperature ``tau`` and the
+        ``rng`` of its Gumbel noise; evaluation reads neither.  During
+        training each contribution is multiplied by a straight-through
+        weight whose forward value is exactly 1: the selection weights
+        receive prediction-loss gradient without perturbing the additive
+        identity in any mode.
         """
         cfg = self.config
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] != cfg.L or x.shape[2] != cfg.C:
             raise ValueError(f"forward: expected input [B, {cfg.L}, {cfg.C}], got {x.shape}")
-        if tau is None:
-            tau = cfg.gumbel_tau_end
         b = x.shape[0]
 
         xt = Tensor(x)
         freqs, psi_bar, xc, c = self._encode(xt)
-        selected, weights = self.score_and_select(c, tau, training, rng)
+        selected, weights = self.score_and_select(c, training, tau, rng)
         contributions = self.head_contribution(ad.gather_rows(c, selected))
         if training:
             w_sel = ad.gather_rows(weights, selected)
@@ -442,14 +441,13 @@ class FreqLens:
             inputs=xt,
             input_coefficients=xc,
             bases=psi_bar,
-            soft_weights=weights,
             frequencies=freqs,
         )
 
-    def forward_batches(self, x, tau: float | None = None, batch_size: int = 256):
+    def forward_batches(self, x, batch_size: int = 256):
         """Evaluation ``forward`` over ``x`` in consecutive batches, one output per batch."""
         for start in range(0, x.shape[0], batch_size):
-            yield self.forward(x[start : start + batch_size], tau=tau, training=False)
+            yield self.forward(x[start : start + batch_size], training=False)
 
     def masked_forward(self, x, selection: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """Frequency prediction of every slot mask in ``keep`` [S, B, K] -> [S, B, H, C].
@@ -514,7 +512,7 @@ class FreqLens:
 # with fixed timestamps so identical models serialize to identical bytes
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(model: FreqLens, path, seed: int | None = None) -> None:

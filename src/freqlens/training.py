@@ -60,11 +60,8 @@ class TrainConfig:
     freq_lr_multiplier: float = 5.0
     batch_size: int = 32
     patience: int = 10
-    tau_start: float = 1.0
+    tau_start: float = 1.0  # training selection temperature, annealed linearly to tau_end
     tau_end: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -194,6 +191,11 @@ def total_loss(model: FreqLens, output: ForwardOutput, target: np.ndarray,
 # optimizer and schedules
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class NonFiniteGradientError(ValueError):
     """A gradient holds NaN or inf: a numeric failure, not a usage error."""
 
@@ -208,12 +210,9 @@ class Adam:
 
     def __init__(self, named_params: Iterable[tuple[str, Tensor]],
                  freq_param_names: frozenset[str] = frozenset(),
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  freq_lr_multiplier: float = 5.0):
         self.params = list(named_params)
         self.freq_param_names = freq_param_names
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.freq_lr_multiplier = freq_lr_multiplier
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
@@ -234,13 +233,13 @@ class Adam:
                 raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
             resolved.append(g)
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for (name, p), g in zip(self.params, resolved):
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
+            m = self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            v = self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * (g * g)
             step_lr = lr * self.freq_lr_multiplier if name in self.freq_param_names else lr
-            p.data = p.data - step_lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data = p.data - step_lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def schedules(epoch: int, total_epochs: int, config: TrainConfig) -> tuple[float, float]:
@@ -259,9 +258,9 @@ def schedules(epoch: int, total_epochs: int, config: TrainConfig) -> tuple[float
 # training loop
 # ---------------------------------------------------------------------------
 
-def evaluate_mse(model: FreqLens, dataset, tau: float, batch_size: int = 256) -> float:
+def evaluate_mse(model: FreqLens, dataset, batch_size: int = 256) -> float:
     """Mean squared forecast error over a window set, in evaluation mode."""
-    y_hat = np.concatenate([out.y_hat.data for out in model.forward_batches(dataset[0], tau, batch_size)])
+    y_hat = np.concatenate([out.y_hat.data for out in model.forward_batches(dataset[0], batch_size)])
     return compute_metrics(y_hat, dataset[1]).mse
 
 
@@ -286,8 +285,6 @@ def train(model: FreqLens, train_data, val_data, config: TrainConfig,
     optimizer = Adam(
         model.trainable_parameters(),
         freq_param_names=FreqLens.frequency_parameter_names(),
-        betas=(config.beta1, config.beta2),
-        eps=config.adam_eps,
         freq_lr_multiplier=config.freq_lr_multiplier,
     )
 
@@ -304,7 +301,7 @@ def train(model: FreqLens, train_data, val_data, config: TrainConfig,
         n_batches = 0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            out = model.forward(x_train[idx], tau=tau, training=True, rng=gumbel_rng)
+            out = model.forward(x_train[idx], training=True, tau=tau, rng=gumbel_rng)
             loss, comps = total_loss(model, out, y_train[idx], weights)
             if not math.isfinite(comps["total"]):
                 raise RuntimeError(
@@ -316,7 +313,7 @@ def train(model: FreqLens, train_data, val_data, config: TrainConfig,
                 sums[key] += comps[key]
             n_batches += 1
 
-        val_mse = evaluate_mse(model, (x_val, y_val), tau=tau, batch_size=config.batch_size)
+        val_mse = evaluate_mse(model, (x_val, y_val), batch_size=config.batch_size)
         log.records.append(
             EpochRecord(
                 epoch=epoch,

@@ -87,7 +87,7 @@ def train_two_cosine(seed: int, trend: float = 0.0, force_alpha=None, fixed_prio
     model = FreqLens(config)
     model, _ = train(model, windows["train"], windows["val"], discovery_train_config(seed), DISCOVERY_WEIGHTS)
     test = windows["test"]
-    mse = evaluate_mse(model, (test.inputs, test.targets), tau=0.1)
+    mse = evaluate_mse(model, (test.inputs, test.targets))
     return Run(seed, model, mse, test.inputs, float(test.targets.var()))
 
 
@@ -138,11 +138,11 @@ def test_criterion_02_gradient_correctness():
     weights = LossWeights()
 
     def loss_value() -> float:
-        out = model.forward(x, tau=0.5, training=False)
+        out = model.forward(x, training=False)
         loss, _ = total_loss(model, out, y, weights)
         return float(loss.data)
 
-    out = model.forward(x, tau=0.5, training=False)
+    out = model.forward(x, training=False)
     loss, _ = total_loss(model, out, y, weights)
     grads = backward(loss)
     names = [name for name, _ in model.parameters()]

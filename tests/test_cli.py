@@ -17,10 +17,13 @@ from freqlens import training
 from freqlens.cli import (
     CONFIG_REFERENCE,
     ConfigError,
+    RunConfig,
     load_config,
     main,
 )
+from freqlens.data import SplitSpec
 from freqlens.model import FreqLens, ModelConfig, save_checkpoint
+from freqlens.training import LossWeights, TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +59,15 @@ class TestConfig:
     def test_defaults_cover_every_key(self):
         cfg = load_config(None)
         assert set(cfg.values) == set(CONFIG_REFERENCE)
+
+    def test_defaults_equal_the_dataclass_defaults(self):
+        # each mapped key's default is a second copy of a dataclass field default
+        cfg = load_config(None)
+        assert cfg.model_config(channels=ModelConfig().C, seed=ModelConfig().seed) == ModelConfig()
+        assert cfg.train_config(seed=TrainConfig().seed) == TrainConfig()
+        assert cfg.loss_weights() == LossWeights()
+        assert cfg.split_spec() == SplitSpec()
+        assert RunConfig(dict(cfg.values, split_mode="months")).split_spec() == SplitSpec(mode="months")
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -302,14 +314,14 @@ class TestNumericFailures:
 def _infinite_csv_cell(tmp_path, monkeypatch, raw):
     data = tmp_path / "inf.csv"
     data.write_text("value\n1.0\n2.0\ninf\n3.0\n")
-    return "train", dict(raw, dataset=str(data))
+    return ["train"], dict(raw, dataset=str(data))
 
 
 def _biased_head(tmp_path, monkeypatch, raw):
     # a head with a bias gives a nonzero contribution at a zero coefficient
     real = FreqLens.head_contribution
     monkeypatch.setattr(FreqLens, "head_contribution", lambda self, c_sel: real(self, c_sel) + 1e-3)
-    return "verify-axioms", raw
+    return ["verify-axioms"], raw
 
 
 def _non_finite_loss(tmp_path, monkeypatch, raw):
@@ -320,7 +332,17 @@ def _non_finite_loss(tmp_path, monkeypatch, raw):
         return loss, dict(comps, total=math.inf)
 
     monkeypatch.setattr(training, "total_loss", inf_loss)
-    return "train", raw
+    return ["train"], raw
+
+
+def _empty_val_split(tmp_path, monkeypatch, raw):
+    return ["train"], dict(raw, split_train=0.8, split_val=0.0, split_test=0.2)
+
+
+def _evaluate_empty_val_split(tmp_path, monkeypatch, raw):
+    # the split is checked before the run directory is read
+    _, raw = _empty_val_split(tmp_path, monkeypatch, raw)
+    return ["evaluate", "--run", str(tmp_path), "--split", "val"], raw
 
 
 class TestFailureExitCodes:
@@ -332,8 +354,10 @@ class TestFailureExitCodes:
             (_infinite_csv_cell, 1, "infinite cell 'inf' at row 4, column 'value'"),
             (_biased_head, 2, "verification failure: null_frequency"),
             (_non_finite_loss, 3, "numeric failure: non-finite loss at epoch 0, batch 0"),
+            (_empty_val_split, 1, "error: the 'val' split is empty"),
+            (_evaluate_empty_val_split, 1, "error: the 'val' split is empty"),
         ],
-        ids=["infinite_csv_cell", "biased_head", "non_finite_loss"],
+        ids=["infinite_csv_cell", "biased_head", "non_finite_loss", "empty_val_split", "evaluate_empty_val_split"],
     )
     def test_exit_code_and_one_line(self, workspace, tmp_path, monkeypatch, capsys, forge, code, message):
         raw = dict(workspace["raw"], out_dir=str(tmp_path / "out"), seeds=[1])
@@ -341,7 +365,7 @@ class TestFailureExitCodes:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(raw))
         capsys.readouterr()
-        assert main([command, "--config", str(path)]) == code
+        assert main([*command, "--config", str(path)]) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err, err
         assert "Traceback" not in err
@@ -389,12 +413,23 @@ def _version_1_manifest(tmp_path, good):
     return path
 
 
+def _version_2_manifest(tmp_path, good):
+    # version 2 stored the two Gumbel temperatures in the model config
+    path = tmp_path / "version-2.ckpt"
+    with zipfile.ZipFile(good) as zf:
+        manifest = json.loads(zf.read("manifest.json"))
+    manifest["format_version"] = 2
+    manifest["config"].update(gumbel_tau_start=1.0, gumbel_tau_end=0.1)
+    _rewrite_checkpoint(good, path, replace={"manifest.json": json.dumps(manifest).encode()})
+    return path
+
+
 class TestCheckpointFailures:
     """A bad --checkpoint is a usage error: exit 1 and one line on stderr, no traceback."""
 
     @pytest.mark.parametrize(
         "make_bad",
-        [_not_a_zip, _a_directory, _missing_array, _bad_manifest_json, _version_1_manifest],
+        [_not_a_zip, _a_directory, _missing_array, _bad_manifest_json, _version_1_manifest, _version_2_manifest],
         ids=lambda f: f.__name__,
     )
     def test_bad_checkpoint_exits_1_without_traceback(self, tmp_path, make_bad):

@@ -114,7 +114,7 @@ def test_contributions_equal_per_slot_numpy_reference(shape):
     w1, w2 = model.head_w1.data, model.head_w2.data
     cfg = model.config
     for training in (False, True):
-        out = model.forward(x, training=training, rng=np.random.default_rng(shape["seed"]))
+        out = model.forward(x, training=training, tau=0.5, rng=np.random.default_rng(shape["seed"]))
         c_sel = out.coefficients.data[np.arange(x.shape[0])[:, None], out.selected]
         for k in range(cfg.K):
             expected = np.maximum(c_sel[:, k] @ w1[k], 0.0) @ w2[k]

@@ -122,30 +122,32 @@ class TestBankInit:
 
 class TestBases:
     def test_quarter_frequency_values(self):
-        psi, _ = build_bases(Tensor([0.25]), Tensor([0.0]), L=4)
-        np.testing.assert_allclose(psi.data[0], [1.0, 0.0, -1.0, 0.0], atol=1e-12)
+        psi_bar = build_bases(Tensor([0.25]), Tensor([0.0]), L=4)
+        np.testing.assert_allclose(psi_bar.data[0], np.array([1.0, 0.0, -1.0, 0.0]) / math.sqrt(2.0), atol=1e-12)
 
     def test_phase_pi_flips_sign_at_origin(self):
-        psi, _ = build_bases(Tensor([0.11]), Tensor([math.pi]), L=6)
-        assert psi.data[0, 0] == pytest.approx(-1.0)
+        # cos(a + pi) = -cos(a): the row norm is that of the phase-0 row
+        psi_bar = build_bases(Tensor([0.11]), Tensor([math.pi]), L=6)
+        norm = np.linalg.norm(np.cos(2.0 * math.pi * 0.11 * np.arange(6)))
+        assert psi_bar.data[0, 0] == pytest.approx(-1.0 / norm)
 
     def test_rows_have_unit_norm(self):
         cfg = small_config()
         bank = init_frequency_bank(cfg)
-        _, psi_bar = build_bases(bank.frequencies(), bank.phase, cfg.L)
+        psi_bar = build_bases(bank.frequencies(), bank.phase, cfg.L)
         norms = np.linalg.norm(psi_bar.data, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_degenerate_row_floored_with_warning(self):
         # phase pi/2 with a near-zero frequency makes every sample ~sin(0) = 0
         with pytest.warns(UserWarning, match="norm"):
-            _, psi_bar = build_bases(Tensor([1e-300]), Tensor([math.pi / 2]), L=4)
+            psi_bar = build_bases(Tensor([1e-300]), Tensor([math.pi / 2]), L=4)
         assert np.all(np.isfinite(psi_bar.data))
 
 
 class TestProjection:
     def test_self_projection_recovers_basis(self):
-        _, psi_bar = build_bases(Tensor([3.0 / 16]), Tensor([0.4]), L=16)
+        psi_bar = build_bases(Tensor([3.0 / 16]), Tensor([0.4]), L=16)
         hidden = Tensor(psi_bar.data[0][None, :, None])  # B=1, d=1 copy of the basis
         c = project(hidden, psi_bar)
         recon = reconstruct(c, psi_bar)
@@ -154,13 +156,13 @@ class TestProjection:
 
     def test_orthogonal_signal_has_zero_coefficient(self):
         # constant hidden vs an integer-cycle zero-mean cosine
-        _, psi_bar = build_bases(Tensor([1.0 / 16]), Tensor([0.0]), L=16)
+        psi_bar = build_bases(Tensor([1.0 / 16]), Tensor([0.0]), L=16)
         hidden = Tensor(np.ones((1, 16, 1)))
         c = project(hidden, psi_bar)
         assert abs(c.data[0, 0, 0]) < 1e-12
 
     def test_single_basis_reconstruction_is_its_component(self):
-        _, psi_bar = build_bases(Tensor([0.2]), Tensor([0.1]), L=12)
+        psi_bar = build_bases(Tensor([0.2]), Tensor([0.1]), L=12)
         rng = np.random.default_rng(5)
         hidden = Tensor(rng.normal(size=(2, 12, 3)))
         c = project(hidden, psi_bar)
@@ -171,7 +173,7 @@ class TestProjection:
     def test_orthogonal_span_reconstructs_exactly(self):
         # integer-cycle cosines are mutually orthogonal over a full window
         freqs = Tensor([1.0 / 8, 2.0 / 8, 3.0 / 8])
-        _, psi_bar = build_bases(freqs, Tensor(np.zeros(3)), L=8)
+        psi_bar = build_bases(freqs, Tensor(np.zeros(3)), L=8)
         rng = np.random.default_rng(6)
         coef = rng.normal(size=(3, 1))
         hidden = Tensor((psi_bar.data.T @ coef)[None, :, :])  # lies in the span
@@ -238,29 +240,44 @@ class TestProjection:
         out = model.forward(x, training=False)
         model.masked_forward(x, out.selected, np.ones((2, b, cfg.K), dtype=bool))
         total_loss(model, out, y, LossWeights())
-        out = model.forward(x, training=True, rng=np.random.default_rng(9))
+        out = model.forward(x, training=True, tau=0.5, rng=np.random.default_rng(9))
         total_loss(model, out, y, LossWeights())
         assert (b, cfg.N, cfg.d) in shapes  # the recorder saw the coefficients
         assert (b, cfg.L, cfg.d) not in shapes
 
 
 class TestSelection:
+    @staticmethod
+    def forged_offsets_model(offsets, K):
+        # zero coefficients make the raw scores equal the per-basis offsets
+        model = FreqLens(small_config(N=len(offsets), K=K, d=2))
+        model.scorer_bias.data[:] = offsets
+        return model
+
     def test_low_temperature_is_argmax(self):
-        cfg = small_config(N=3, K=1, d=2)
-        model = FreqLens(cfg)
-        # craft raw scores via the per-basis offsets with zero coefficients
-        model.scorer_bias.data[:] = [3.0, 1.0, 2.0]
+        # offsets 100 apart dwarf the Gumbel noise (at most ~28 in magnitude)
+        model = self.forged_offsets_model([300.0, 100.0, 200.0], K=1)
         c = Tensor(np.zeros((1, 3, 2)))
-        selected, weights = model.score_and_select(c, tau=1e-4, training=False)
+        selected, weights = model.score_and_select(c, True, tau=1e-4, rng=np.random.default_rng(0))
         assert selected.tolist() == [[0]]
         np.testing.assert_allclose(weights.data, [[1.0, 0.0, 0.0]], atol=1e-12)
 
-    def test_equal_scores_uniform_weights(self):
-        cfg = small_config()
-        model = FreqLens(cfg)
-        c = Tensor(np.zeros((2, cfg.N, cfg.d)))
-        _, weights = model.score_and_select(c, tau=0.7, training=False)
-        np.testing.assert_allclose(weights.data, 1.0 / cfg.N, atol=1e-12)
+    def test_evaluation_selects_exact_topk_under_softmax_underflow(self):
+        # a cold softmax of these scores underflows to [1, 0, 0] and would tie bases 1 and 2
+        model = self.forged_offsets_model([200.0, 0.0, 100.0], K=2)
+        selected, weights = model.score_and_select(Tensor(np.zeros((2, 3, 2))), False)
+        assert selected.tolist() == [[0, 2], [0, 2]]
+        assert weights is None
+        out = model.forward(np.zeros((2, model.config.L, model.config.C)))
+        assert out.selected.tolist() == [[0, 2], [0, 2]]
+
+    def test_training_selects_exact_topk_of_noisy_scores(self):
+        model = self.forged_offsets_model([200.0, 0.0, 100.0], K=2)
+        c = Tensor(np.zeros((4, 3, 2)))
+        selected, _ = model.score_and_select(c, True, tau=0.1, rng=np.random.default_rng(5))
+        noisy = model.scorer_bias.data + model_module._gumbel_noise(np.random.default_rng(5), (4, 3))
+        np.testing.assert_array_equal(selected, np.argsort(-noisy, axis=1, kind="stable")[:, :2])
+        assert selected.tolist() == [[0, 2]] * 4
 
     def test_k_equals_n_selects_everything(self):
         cfg = small_config(N=4, K=4)
@@ -271,14 +288,15 @@ class TestSelection:
     def test_weights_sum_to_one(self):
         cfg = small_config()
         model = FreqLens(cfg)
-        out = model.forward(random_inputs(cfg, 4))
-        np.testing.assert_allclose(out.soft_weights.data.sum(axis=1), 1.0, atol=1e-12)
+        c = model.forward(random_inputs(cfg, 4)).coefficients
+        _, weights = model.score_and_select(c, True, tau=0.7, rng=np.random.default_rng(3))
+        np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_cold_softmax_matches_exact_topk_of_scores(self):
+    def test_evaluation_selects_exact_topk_of_scores(self):
         cfg = small_config()
         model = FreqLens(cfg)
         x = random_inputs(cfg, 5, seed=11)
-        out = model.forward(x, tau=0.1)
+        out = model.forward(x)
         # raw scores recomputed independently from the same coefficients
         c = out.coefficients.data
         h = np.maximum(c @ model.scorer_w1.data, 0.0)
@@ -291,13 +309,19 @@ class TestSelection:
         cfg = small_config()
         model = FreqLens(cfg)
         with pytest.raises(ValueError, match="rng"):
-            model.forward(random_inputs(cfg), training=True)
+            model.forward(random_inputs(cfg), training=True, tau=0.5)
+
+    def test_training_selection_needs_tau(self):
+        cfg = small_config()
+        model = FreqLens(cfg)
+        with pytest.raises(ValueError, match="tau"):
+            model.forward(random_inputs(cfg), training=True, rng=np.random.default_rng(0))
 
     def test_temperature_must_be_positive(self):
         cfg = small_config()
         model = FreqLens(cfg)
         with pytest.raises(ValueError, match="temperature"):
-            model.forward(random_inputs(cfg), tau=0.0)
+            model.forward(random_inputs(cfg), training=True, tau=0.0, rng=np.random.default_rng(0))
 
 
 class TestHeads:
@@ -342,7 +366,7 @@ class TestHeads:
             cfg = small_config(K=k)
             model = FreqLens(cfg)
             start = Tensor(0.0).node_id
-            model.forward(random_inputs(cfg), training=training, rng=np.random.default_rng(0))
+            model.forward(random_inputs(cfg), training=training, tau=0.5, rng=np.random.default_rng(0))
             created.add(Tensor(0.0).node_id - start)
         assert len(created) == 1
 
@@ -531,7 +555,7 @@ class TestCheckpoint:
             manifest = json.loads(zf.read("manifest.json"))
             w1 = np.load(io.BytesIO(zf.read("arrays/heads.w1.npy")))
             w2 = np.load(io.BytesIO(zf.read("arrays/heads.w2.npy")))
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
         assert [n for n in manifest["arrays"] if n.startswith("heads.")] == ["heads.w1", "heads.w2"]
         assert w1.shape == (cfg.K, cfg.d, cfg.d)
         assert w2.shape == (cfg.K, cfg.d, cfg.H * cfg.C)

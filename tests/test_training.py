@@ -158,7 +158,7 @@ class TestTotalLoss:
         y = rng.normal(size=(2, 4, 3))
 
         def loss_of():
-            out = model.forward(x, tau=0.5)
+            out = model.forward(x)
             return total_loss(model, out, y, LossWeights())[0]
 
         params = [p for _, p in model.parameters()]
@@ -285,8 +285,7 @@ class TestTrainLoop:
         tr, va = self.make_data(seed=3)
         model = FreqLens(ModelConfig(L=24, H=4, C=1, d=8, N=4, K=2, seed=3))
         trained, log = train(model, tr, va, TrainConfig(epochs=6, seed=3, base_lr=5e-3))
-        final_tau = log.records[-1].tau
-        restored = evaluate_mse(trained, (va.inputs, va.targets), tau=final_tau, batch_size=32)
+        restored = evaluate_mse(trained, (va.inputs, va.targets), batch_size=32)
         best_logged = min(r.val_mse for r in log.records)
         assert restored <= best_logged + 1e-9
 
@@ -302,7 +301,7 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=10, patience=1, seed=9, base_lr=5e-3)
         trained, log = train(model, (x_tr, y_tr), (x_va, y_va), cfg)
         assert len(log.records) == 2
-        restored = evaluate_mse(trained, (x_va, y_va), tau=log.records[0].tau, batch_size=64)
+        restored = evaluate_mse(trained, (x_va, y_va), batch_size=64)
         assert restored == pytest.approx(log.records[0].val_mse, rel=1e-12)
 
     def test_nonfinite_loss_aborts_with_diagnostics(self):
