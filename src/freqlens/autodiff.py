@@ -9,7 +9,9 @@ exactly once in reverse.
 
 Design constraints:
   * float64 everywhere (the attribution exactness checks need it),
-  * no in-place mutation of tensors that are on the tape,
+  * no in-place mutation of tensors that are on the tape; the optimizer
+    updates parameters in place, after ``backward``, when no live tape
+    reads them,
   * a single-threaded tape per training run; tensors are immutable after
     creation, so read-only sharing for inference is safe.
 
@@ -139,15 +141,19 @@ def _as_tensor(x) -> Tensor:
 
 def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(out_data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward_fn
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = backward_fn
+            break
     return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum-reduce ``grad`` down to ``shape`` (inverse of NumPy broadcasting)."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -241,7 +247,13 @@ def matmul(a, b) -> Tensor:
 
     A length-1 contraction is the outer product ``a * b``, the same
     values; NumPy runs ``@`` with inner size 1 without BLAS, slower
-    than the broadcast multiply.
+    than the broadcast multiply.  The backward products take the same
+    shortcut: ``g @ b^T`` contracts over the output's last size and
+    ``a^T @ g`` over its second last, so the model's ``[N, L] @ [B, L, 1]``
+    projection, its reconstruction and the ``[1, M] @ [M, 1]`` Grams
+    run no length-1 ``@``.  The product is written in C order, the
+    layout ``@`` returns, so the batch sum in ``_unbroadcast`` adds the
+    same values in the same order.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
@@ -249,10 +261,14 @@ def matmul(a, b) -> Tensor:
     out_data = a.data * b.data if a.shape[-1] == 1 else a.data @ b.data
 
     def backward_fn(g):
-        return (
-            _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None,
-            _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None,
-        )
+        ga = gb = None
+        if a.requires_grad:
+            bt = np.swapaxes(b.data, -1, -2)
+            ga = _unbroadcast(np.multiply(g, bt, order="C") if g.shape[-1] == 1 else g @ bt, a.shape)
+        if b.requires_grad:
+            at = np.swapaxes(a.data, -1, -2)
+            gb = _unbroadcast(np.multiply(at, g, order="C") if g.shape[-2] == 1 else at @ g, b.shape)
+        return ga, gb
 
     return _make(out_data, (a, b), backward_fn)
 
@@ -514,6 +530,7 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
     if not loss.requires_grad:
         return {}
 
+    # untracked parents take no gradient, so the walk leaves them out
     nodes: dict[int, Tensor] = {}
     stack = [loss]
     while stack:
@@ -521,12 +538,15 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
         if t.node_id in nodes:
             continue
         nodes[t.node_id] = t
-        stack.extend(t._parents)
+        for parent in t._parents:
+            if parent.requires_grad:
+                stack.append(parent)
 
     # creation order is a topological order: outputs are born after inputs
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    for t in sorted(nodes.values(), key=lambda n: n.node_id, reverse=True):
-        g = grads.get(t.node_id)
+    for node_id in sorted(nodes, reverse=True):
+        t = nodes[node_id]
+        g = grads.get(node_id)
         if g is None or t._backward is None:
             continue
         for parent, pg in zip(t._parents, t._backward(g)):

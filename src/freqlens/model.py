@@ -339,12 +339,12 @@ class FreqLens:
             missing = set(params) - set(state)
             extra = set(state) - set(params)
             raise ValueError(f"state dict mismatch: missing={sorted(missing)}, extra={sorted(extra)}")
-        for name, value in state.items():
-            p = params[name]
-            value = np.asarray(value, dtype=np.float64)
-            if value.shape != p.shape:
-                raise ValueError(f"shape mismatch for {name}: {value.shape} vs {p.shape}")
-            p.data = value.copy()
+        values = {name: np.asarray(value, dtype=np.float64) for name, value in state.items()}
+        for name, value in values.items():
+            if value.shape != params[name].shape:
+                raise ValueError(f"shape mismatch for {name}: {value.shape} vs {params[name].shape}")
+        for name, value in values.items():
+            params[name].data[...] = value  # in place: an optimizer's packed views stay bound
 
     # -- forward pieces -------------------------------------------------------
     def _encode(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:

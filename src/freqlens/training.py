@@ -206,40 +206,74 @@ class Adam:
     The frequency group (bank raw parameters and phases) steps with
     ``freq_lr_multiplier`` times the current learning rate; missing
     gradients count as zero.
+
+    The optimizer packs every parameter it is given into one float64
+    vector that it owns, and each parameter's ``data`` becomes a view
+    of its slice.  The moments ``m`` and ``v``, the gathered gradient
+    and the per-element learning-rate scale are vectors of the same
+    layout, so a step is one finiteness check and one in-place update
+    of the whole vector.  Parameters must therefore be written in place
+    (``p.data[...] = value``) while the optimizer is in use: a step
+    refuses a parameter whose ``data`` was rebound.
     """
 
     def __init__(self, named_params: Iterable[tuple[str, Tensor]],
                  freq_param_names: frozenset[str] = frozenset(),
                  freq_lr_multiplier: float = 5.0):
         self.params = list(named_params)
-        self.freq_param_names = freq_param_names
-        self.freq_lr_multiplier = freq_lr_multiplier
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+        self.flat = np.empty(sum(p.size for _, p in self.params))
+        self.grad = np.zeros_like(self.flat)
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.lr_scale = np.ones_like(self.flat)
+        self.slices, self._views, self._grad_views = [], [], []
+        offset = 0
+        for name, p in self.params:
+            sl = slice(offset, offset + p.size)
+            offset = sl.stop
+            view = self.flat[sl].reshape(p.shape)
+            view[...] = p.data
+            p.data = view
+            self.slices.append(sl)
+            self._views.append(view)
+            self._grad_views.append(self.grad[sl].reshape(p.shape))
+            if name in freq_param_names:
+                self.lr_scale[sl] = freq_lr_multiplier
 
     def step(self, grads: dict[int, np.ndarray], lr: float) -> None:
         """One update of every parameter, or none.
 
         Every gradient is checked before any state changes, so a
-        non-finite gradient leaves the parameters, moments and step
-        count as they were.
+        non-finite gradient or a rebound parameter leaves the
+        parameters, moments and step count as they were.
         """
-        resolved = []
-        for name, p in self.params:
+        for (name, p), view, gview in zip(self.params, self._views, self._grad_views):
+            if p.data is not view:
+                raise ValueError(
+                    f"parameter {name!r} was rebound after the optimizer packed it; "
+                    f"write it in place (p.data[...] = value)"
+                )
             g = grads.get(p.node_id)
-            g = np.zeros_like(p.data) if g is None else g
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
-            resolved.append(g)
+            if g is None:
+                gview.fill(0.0)
+            else:
+                np.copyto(gview, g)
+        g = self.grad
+        if not np.isfinite(g).all():
+            bad = next(name for (name, _), sl in zip(self.params, self.slices)
+                       if not np.isfinite(g[sl]).all())
+            raise NonFiniteGradientError(f"non-finite gradient for parameter {bad!r}")
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for (name, p), g in zip(self.params, resolved):
-            m = self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
-            v = self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-            step_lr = lr * self.freq_lr_multiplier if name in self.freq_param_names else lr
-            p.data = p.data - step_lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        m, v = self.m, self.v
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        step_lr = lr * self.lr_scale
+        self.flat -= step_lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def schedules(epoch: int, total_epochs: int, config: TrainConfig) -> tuple[float, float]:

@@ -217,6 +217,33 @@ class TestBinaryOpGradients:
         np.testing.assert_allclose(grads[a.node_id], fd[0], rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(grads[b.node_id], fd[1], rtol=1e-6, atol=1e-8)
 
+    # the model's length-1 backward contractions (projection, reconstruction,
+    # the [1, M] @ [M, 1] Grams) at the training batch of 32, and a C = 3
+    # control that runs ``@``
+    MODEL_SHAPES = [((4, 6), (32, 6, 1)), ((6, 4), (32, 4, 1)), ((1, 7), (7, 1)), ((4, 6), (32, 6, 3))]
+
+    @pytest.mark.parametrize("sa,sb", MODEL_SHAPES)
+    def test_matmul_backward_equals_matmul_products_bytewise(self, sa, sb):
+        rng = np.random.default_rng(12)
+        a = Tensor(rng.normal(size=sa), requires_grad=True)
+        b = Tensor(rng.normal(size=sb), requires_grad=True)
+        out = ad.matmul(a, b)
+        g_c = rng.normal(size=out.shape)
+        for g in (g_c, np.swapaxes(np.swapaxes(g_c, -1, -2).copy(), -1, -2)):  # C order and not
+            ga, gb = out._backward(g)
+            want_a = ad._unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+            want_b = ad._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+            assert ga.shape == a.shape and ga.tobytes() == want_a.tobytes()
+            assert gb.shape == b.shape and gb.tobytes() == want_b.tobytes()
+
+    @pytest.mark.parametrize("sa,sb", MODEL_SHAPES)
+    def test_matmul_model_shapes_pass_check_gradients(self, sa, sb):
+        rng = np.random.default_rng(13)
+        a = Tensor(rng.normal(size=sa))
+        b = Tensor(rng.normal(size=sb))
+        assert check_gradients(lambda t: ad.square(ad.matmul(t, b)).sum(), a) < 1e-6
+        assert check_gradients(lambda t: ad.square(ad.matmul(a, t)).sum(), b) < 1e-6
+
     @pytest.mark.parametrize(
         "spec,sa,sb",
         [

@@ -8,6 +8,9 @@ import pytest
 from freqlens.autodiff import Tensor, backward, check_gradients, finite_difference
 from freqlens.model import FreqLens, ModelConfig
 from freqlens.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Adam,
     EpochRecord,
     LossWeights,
@@ -209,8 +212,7 @@ class TestAdam:
         opt = Adam([("first", a), ("last", b)])
         opt.step({a.node_id: np.array([0.5, 0.5]), b.node_id: np.array(1.0)}, lr=1e-3)
         data = {"first": a.data.copy(), "last": b.data.copy()}
-        m = {k: v.copy() for k, v in opt.m.items()}
-        v = {k: val.copy() for k, val in opt.v.items()}
+        m, v = opt.m.copy(), opt.v.copy()  # packed moments, one vector each
         t = opt.t
         bad = {a.node_id: np.array([0.5, 0.5]), b.node_id: np.array(float("nan"))}
         with pytest.raises(ValueError, match="'last'"):
@@ -218,8 +220,87 @@ class TestAdam:
         assert opt.t == t
         for name, p in (("first", a), ("last", b)):
             np.testing.assert_array_equal(p.data, data[name])
-            np.testing.assert_array_equal(opt.m[name], m[name])
-            np.testing.assert_array_equal(opt.v[name], v[name])
+        np.testing.assert_array_equal(opt.m, m)
+        np.testing.assert_array_equal(opt.v, v)
+
+    def test_matches_per_tensor_reference_bytewise(self):
+        shapes = {"bank.theta": (5,), "w": (3, 4), "bias": (4,), "fusion_logit": ()}
+        rng = np.random.default_rng(21)
+        init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        packed = {name: Tensor(value.copy(), requires_grad=True) for name, value in init.items()}
+        plain = {name: Tensor(value.copy(), requires_grad=True) for name, value in init.items()}
+        freq = frozenset({"bank.theta"})
+        opt = Adam(packed.items(), freq_param_names=freq, freq_lr_multiplier=5 / 3)
+        ref = PerTensorAdam(plain.items(), freq_param_names=freq, freq_lr_multiplier=5 / 3)
+        for step in range(20):
+            draws = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3) for name, shape in shapes.items()}
+            if step % 3 == 0:
+                del draws["bias"]  # a missing gradient counts as zero
+            lr = 1e-3 * (1.0 + math.cos(math.pi * step / 19))
+            opt.step({packed[n].node_id: g for n, g in draws.items()}, lr)
+            ref.step({plain[n].node_id: g for n, g in draws.items()}, lr)
+            for (name, p), sl in zip(opt.params, opt.slices):
+                assert p.data.tobytes() == plain[name].data.tobytes(), (step, name)
+                assert opt.m[sl].tobytes() == ref.m[name].tobytes(), (step, name)
+                assert opt.v[sl].tobytes() == ref.v[name].tobytes(), (step, name)
+
+    def test_rebound_parameter_is_refused(self):
+        a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        b = Tensor(np.array(3.0), requires_grad=True)
+        opt = Adam([("first", a), ("last", b)])
+        b.data = np.array(4.0)  # no longer a view of the packed vector
+        with pytest.raises(ValueError, match="'last'") as info:
+            opt.step({a.node_id: np.array([0.5, 0.5]), b.node_id: np.array(1.0)}, lr=1e-3)
+        assert "rebound" in str(info.value)
+        assert opt.t == 0
+        np.testing.assert_array_equal(a.data, [1.0, -2.0])
+
+    def test_load_state_dict_writes_into_packed_views(self):
+        model = tiny_model()
+        opt = Adam(model.trainable_parameters())
+        state = model.state_dict()
+        views = [p.data for _, p in model.trainable_parameters()]
+        opt.step({p.node_id: np.ones(p.shape) for _, p in model.trainable_parameters()}, lr=1e-2)
+        assert model.state_dict()["heads.w1"].tobytes() != state["heads.w1"].tobytes()
+        model.load_state_dict(state)
+        for (name, p), view in zip(model.trainable_parameters(), views):
+            assert p.data is view, name
+            assert p.data.tobytes() == state[name].tobytes(), name
+        opt.step({}, lr=1e-3)  # the restored parameters are still the packed ones
+
+    def test_load_state_dict_checks_every_shape_before_writing(self):
+        model = tiny_model()
+        before = model.state_dict()
+        bad = {name: value + 1.0 for name, value in before.items()}
+        bad["residual.w2"] = np.zeros((1, 1))
+        with pytest.raises(ValueError, match="residual.w2"):
+            model.load_state_dict(bad)
+        for name, value in model.state_dict().items():
+            assert value.tobytes() == before[name].tobytes(), name
+
+
+class PerTensorAdam:
+    """The per-tensor Adam update the packed optimizer replaced, kept as an oracle."""
+
+    def __init__(self, named_params, freq_param_names=frozenset(), freq_lr_multiplier=5.0):
+        self.params = list(named_params)
+        self.freq_param_names = freq_param_names
+        self.freq_lr_multiplier = freq_lr_multiplier
+        self.t = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in self.params}
+        self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+
+    def step(self, grads, lr):
+        self.t += 1
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
+        for name, p in self.params:
+            g = grads.get(p.node_id)
+            g = np.zeros_like(p.data) if g is None else g
+            m = self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            v = self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * (g * g)
+            step_lr = lr * self.freq_lr_multiplier if name in self.freq_param_names else lr
+            p.data = p.data - step_lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 class TestSchedules:
@@ -303,6 +384,9 @@ class TestTrainLoop:
         assert len(log.records) == 2
         restored = evaluate_mse(trained, (x_va, y_va), batch_size=64)
         assert restored == pytest.approx(log.records[0].val_mse, rel=1e-12)
+        # the best snapshot is written into the optimizer's packed vector, not rebound
+        packed = {id(p.data.base) for _, p in trained.trainable_parameters()}
+        assert len(packed) == 1 and trained.head_w1.data.base is not None
 
     def test_nonfinite_loss_aborts_with_diagnostics(self):
         tr, va = self.make_data()
