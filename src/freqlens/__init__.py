@@ -39,7 +39,6 @@ from .data import (
     SeriesTable,
     SplitSpec,
     WindowSet,
-    denormalize,
     fit_apply_zscore,
     load_csv,
     make_windows,

@@ -47,7 +47,6 @@ __all__ = [
     "softmax",
     "reshape",
     "transpose",
-    "clip_min",
     "clip",
     "gather_rows",
     "sort_ascending",
@@ -406,16 +405,6 @@ def relu(x) -> Tensor:
         return (g * (x.data > 0),)
 
     return _make(np.maximum(x.data, 0.0), (x,), backward_fn)
-
-
-def clip_min(x, floor: float) -> Tensor:
-    """max(x, floor); the clipped region receives zero gradient."""
-    x = _as_tensor(x)
-
-    def backward_fn(g):
-        return (g * (x.data >= floor),)
-
-    return _make(np.maximum(x.data, floor), (x,), backward_fn)
 
 
 def clip(x, lo: float, hi: float) -> Tensor:

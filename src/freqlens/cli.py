@@ -398,7 +398,7 @@ def cmd_faithfulness(cfg: RunConfig, args) -> int:
     _dump_json(out_path, payload)
     for r in results:
         print(
-            f"k={r.k}: mean |change|={r.mean_abs_change:.3e} "
+            f"k={r.k} over {r.n_samples} windows: mean |change|={r.mean_abs_change:.3e} "
             f"(frequency path {r.mean_abs_change_freq_path:.3e}), "
             f"attribution/impact correlation {r.attribution_impact_correlation:.9f}"
         )
@@ -468,7 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, required=True, help="window index within the split")
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
 
-    p = sub.add_parser("faithfulness", help="perturbation test of attribution faithfulness")
+    p = sub.add_parser(
+        "faithfulness", help="perturbation test of attribution faithfulness on the first 64 test windows"
+    )
     common(p, checkpoint=True)
     p.add_argument("--topk", type=int, default=None, help="single removal size overriding the config list")
 

@@ -28,7 +28,6 @@ __all__ = [
     "load_csv",
     "save_csv",
     "fit_apply_zscore",
-    "denormalize",
     "make_windows",
     "synth_series",
 ]
@@ -213,10 +212,6 @@ def fit_apply_zscore(table: SeriesTable, split: SplitSpec) -> tuple[SeriesTable,
         SeriesTable(normalized, table.step_duration, list(table.channel_names)),
         NormStats(mean=mean, std=std),
     )
-
-
-def denormalize(values: np.ndarray, stats: NormStats) -> np.ndarray:
-    return values * stats.std + stats.mean
 
 
 def make_windows(table: SeriesTable, L: int, H: int, split: SplitSpec) -> dict[str, WindowSet]:

@@ -48,13 +48,12 @@ __all__ = [
 # periods and matching
 # ---------------------------------------------------------------------------
 
-def periods_from_frequencies(freqs, step_duration: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Periods in steps (1/f) and in physical units (steps * step_duration)."""
+def periods_from_frequencies(freqs) -> np.ndarray:
+    """Periods in steps, 1/f."""
     freqs = np.asarray(freqs, dtype=np.float64)
     if np.any(freqs <= 0):
         raise ValueError("frequencies must be positive")
-    steps = 1.0 / freqs
-    return steps, steps * step_duration
+    return 1.0 / freqs
 
 
 @dataclass
@@ -133,26 +132,24 @@ def _coalitions(k_players: int) -> tuple[np.ndarray, np.ndarray]:
     return members.astype(np.float64), coef
 
 
-def shapley_bruteforce(contributions, aggregate: str = "per-element") -> np.ndarray:
+def shapley_bruteforce(contributions) -> np.ndarray:
     """Exact Shapley values of the coalition game over frequency contributions.
 
-    The game value of a coalition T is the sum of its contribution
-    tensors ("per-element", an array-valued game) or the l2 norm of
-    that sum ("l2-magnitude", a scalar game).  All 2^K coalition values
-    are computed and weighted by |T|! (K-|T|-1)! / K! through one
-    [K, 2^K] coefficient matrix; K is capped at 12.
+    ``contributions`` is [K, ...], one tensor per player.  The game is
+    array-valued: the value of a coalition T is the element-wise sum of
+    its members' contribution tensors, so each element is its own game.
+    All 2^K coalition values are computed and weighted by
+    |T|! (K-|T|-1)! / K! through one [K, 2^K] coefficient matrix; K is
+    capped at 12.  For this additive game the Shapley value of each
+    player is its own contribution, which ``verify_axioms`` checks.
     """
     contribs = np.asarray(contributions, dtype=np.float64)
     k_players = contribs.shape[0]
     if k_players > 12:
         raise ValueError(f"exact enumeration is limited to K <= 12, got K={k_players}")
-    if aggregate not in ("per-element", "l2-magnitude"):
-        raise ValueError(f"unknown aggregate {aggregate!r}")
 
     members, coef = _coalitions(k_players)
     sums = members @ contribs.reshape(k_players, -1)  # [2^K, elements], v of each coalition
-    if aggregate == "l2-magnitude":
-        return coef @ np.linalg.norm(sums, axis=1)
     return (coef @ sums).reshape(contribs.shape)
 
 
@@ -311,7 +308,7 @@ def build_discovery_report(seeded_models, known_periods_steps, delta: float = 0.
     report = DiscoveryReport(delta=delta, known_periods=known)
     for seed, model in seeded_models:
         freqs = model.bank.frequencies().data
-        periods, _ = periods_from_frequencies(freqs)
+        periods = periods_from_frequencies(freqs)
         matches = match_known_periods(periods, known, delta=delta)
         counts = (
             selection_counts(model, test_inputs).tolist() if test_inputs is not None else [0] * model.config.N
@@ -399,7 +396,7 @@ def export_spectrum_csv(path, model: FreqLens, known_periods_steps=(), delta: fl
                         counts: Sequence[int] | None = None) -> None:
     """Per-basis rows of (frequency, period, selection count, matched flag)."""
     freqs = model.bank.frequencies().data
-    periods, _ = periods_from_frequencies(freqs)
+    periods = periods_from_frequencies(freqs)
     known = np.asarray(list(known_periods_steps), dtype=np.float64)
     if counts is None:
         counts = np.zeros(model.config.N, dtype=np.int64)

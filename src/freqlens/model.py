@@ -34,6 +34,7 @@ from .atomic import atomic_write
 from .autodiff import Tensor
 
 SCORER_HIDDEN = 32
+EVAL_BATCH = 256  # windows per evaluation forward, in training's validation as everywhere else
 
 __all__ = [
     "ModelConfig",
@@ -104,8 +105,8 @@ class FrequencyBank:
     f_i = f_min + (f_max - f_min) * sigmoid(theta_i), with (f_min, f_max)
     from ``_frequency_range``.  The sigmoid keeps every frequency strictly
     inside (f_min, f_max) with nonzero gradient everywhere, unlike hard
-    clamping.  In fixed-prior mode theta/phase are frozen and the
-    frequencies equal 1/period exactly for the configured periods.
+    clamping.  In fixed-prior mode theta/phase are untracked constants
+    and the frequencies equal 1/period exactly for the configured periods.
     """
 
     def __init__(self, theta: Tensor, phase: Tensor, L: int, fixed_freqs: np.ndarray | None = None):
@@ -113,10 +114,6 @@ class FrequencyBank:
         self.phase = phase
         self.f_min, self.f_max = _frequency_range(L)
         self.fixed_freqs = fixed_freqs
-
-    @property
-    def fixed(self) -> bool:
-        return self.fixed_freqs is not None
 
     def frequencies(self) -> Tensor:
         if self.fixed_freqs is not None:
@@ -169,7 +166,7 @@ def build_bases(freqs: Tensor, phases: Tensor, L: int) -> Tensor:
     norms = ad.sqrt(ad.square(psi).sum(axis=1, keepdims=True))
     if np.any(norms.data < 1e-8):
         warnings.warn("near-zero cosine basis row; flooring its norm at 1e-8")
-        norms = ad.clip_min(norms, 1e-8)
+        norms = ad.clip(norms, 1e-8, np.inf)
     return psi / norms
 
 
@@ -303,12 +300,6 @@ class FreqLens:
             ("residual.w2", self.residual_w2),
             ("fusion_logit", self.fusion_logit),
         ]
-
-    def trainable_parameters(self) -> list[tuple[str, Tensor]]:
-        frozen = {"bank.theta", "bank.phase"} if self.bank.fixed else set()
-        if self.config.force_alpha is not None:
-            frozen.add("fusion_logit")
-        return [(n, p) for n, p in self.parameters() if n not in frozen]
 
     @staticmethod
     def frequency_parameter_names() -> frozenset[str]:
@@ -444,10 +435,10 @@ class FreqLens:
             frequencies=freqs,
         )
 
-    def forward_batches(self, x, batch_size: int = 256):
-        """Evaluation ``forward`` over ``x`` in consecutive batches, one output per batch."""
-        for start in range(0, x.shape[0], batch_size):
-            yield self.forward(x[start : start + batch_size], training=False)
+    def forward_batches(self, x):
+        """Evaluation ``forward`` over ``x`` in batches of ``EVAL_BATCH`` windows, one output per batch."""
+        for start in range(0, x.shape[0], EVAL_BATCH):
+            yield self.forward(x[start : start + EVAL_BATCH], training=False)
 
     def masked_forward(self, x, selection: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """Frequency prediction of every slot mask in ``keep`` [S, B, K] -> [S, B, H, C].

@@ -99,17 +99,6 @@ class TrainLog:
         with atomic_write(path) as fh:
             fh.write(self.to_jsonl())
 
-    @classmethod
-    def load(cls, path) -> "TrainLog":
-        import json
-
-        records = []
-        with open(path) as fh:
-            for line in fh:
-                if line.strip():
-                    records.append(EpochRecord(**json.loads(line)))
-        return cls(records)
-
 
 # ---------------------------------------------------------------------------
 # loss terms
@@ -142,7 +131,7 @@ def orthogonality_loss(features: Tensor) -> Tensor:
     Rows are l2-normalized (with a 1e-8 floor); mutually orthogonal rows
     give exactly zero.
     """
-    norms = ad.clip_min(ad.sqrt(ad.square(features).sum(axis=1, keepdims=True)), 1e-8)
+    norms = ad.clip(ad.sqrt(ad.square(features).sum(axis=1, keepdims=True)), 1e-8, np.inf)
     unit = features / norms
     gram = ad.matmul(unit, ad.transpose(unit))
     eye = Tensor(np.eye(features.shape[0]))
@@ -204,8 +193,12 @@ class Adam:
     """Adam with a differential learning rate for the frequency parameters.
 
     The frequency group (bank raw parameters and phases) steps with
-    ``freq_lr_multiplier`` times the current learning rate; missing
-    gradients count as zero.
+    ``freq_lr_multiplier`` times the current learning rate.  A missing
+    gradient counts as zero, so a parameter that never receives one
+    keeps ``m`` and ``v`` at 0 and its update is exactly 0.0: training
+    hands over every model parameter, and the frozen ones (a fixed-prior
+    bank, whose theta and phase are untracked, and ``fusion_logit``
+    under ``force_alpha``) keep their bytes.
 
     The optimizer packs every parameter it is given into one float64
     vector that it owns, and each parameter's ``data`` becomes a view
@@ -292,9 +285,9 @@ def schedules(epoch: int, total_epochs: int, config: TrainConfig) -> tuple[float
 # training loop
 # ---------------------------------------------------------------------------
 
-def evaluate_mse(model: FreqLens, dataset, batch_size: int = 256) -> float:
+def evaluate_mse(model: FreqLens, dataset) -> float:
     """Mean squared forecast error over a window set, in evaluation mode."""
-    y_hat = np.concatenate([out.y_hat.data for out in model.forward_batches(dataset[0], batch_size)])
+    y_hat = np.concatenate([out.y_hat.data for out in model.forward_batches(dataset[0])])
     return compute_metrics(y_hat, dataset[1]).mse
 
 
@@ -317,7 +310,7 @@ def train(model: FreqLens, train_data, val_data, config: TrainConfig,
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2)
     )
     optimizer = Adam(
-        model.trainable_parameters(),
+        model.parameters(),
         freq_param_names=FreqLens.frequency_parameter_names(),
         freq_lr_multiplier=config.freq_lr_multiplier,
     )
@@ -347,7 +340,7 @@ def train(model: FreqLens, train_data, val_data, config: TrainConfig,
                 sums[key] += comps[key]
             n_batches += 1
 
-        val_mse = evaluate_mse(model, (x_val, y_val), batch_size=config.batch_size)
+        val_mse = evaluate_mse(model, (x_val, y_val))
         log.records.append(
             EpochRecord(
                 epoch=epoch,

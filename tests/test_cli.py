@@ -21,9 +21,9 @@ from freqlens.cli import (
     load_config,
     main,
 )
-from freqlens.data import SplitSpec
-from freqlens.model import FreqLens, ModelConfig, save_checkpoint
-from freqlens.training import LossWeights, TrainConfig
+from freqlens.data import SeriesTable, SplitSpec, fit_apply_zscore, load_csv, make_windows, save_csv
+from freqlens.model import FreqLens, ModelConfig, load_checkpoint, save_checkpoint
+from freqlens.training import LossWeights, TrainConfig, evaluate_mse
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +184,46 @@ class TestEvaluate:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
         assert main(["evaluate", "--config", str(path), "--run", workspace["run"]]) == 1
+
+    def test_best_logged_val_mse_equals_evaluation(self, tmp_path):
+        # 7 channels and L = 96, where the batch size of an evaluation pass
+        # shows in the last bit of y_res: training must score validation in
+        # the batches that evaluate_mse and `evaluate --split val` use
+        t = np.arange(1000.0)[:, None]
+        rng = np.random.default_rng(0)
+        values = np.cos(2 * np.pi * t / np.arange(5.0, 40.0, 5.0)) + 0.1 * rng.normal(size=(1000, 7))
+        save_csv(SeriesTable(values, 3600.0, [f"c{i}" for i in range(7)]), tmp_path / "seven.csv")
+        raw = {
+            "dataset": str(tmp_path / "seven.csv"),
+            "split_train": 0.6,
+            "split_val": 0.2195,  # 219 rows = 100 windows of 96 + 24 steps
+            "split_test": 0.1805,
+            "input_length": 96,
+            "horizon": 24,
+            "hidden_width": 16,
+            "num_bases": 8,
+            "top_k": 4,
+            "epochs": 2,
+            "base_lr": 0.003,
+            "seeds": [2],
+            "out_dir": str(tmp_path / "run"),
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert main(["evaluate", "--config", str(cfg_path), "--run", raw["out_dir"], "--split", "val"]) == 0
+
+        run = tmp_path / "run"
+        records = [json.loads(line) for line in (run / "trainlog-2.jsonl").read_text().splitlines()]
+        best_logged = min(r["val_mse"] for r in records)
+        reported = json.loads((run / "metrics-val.json").read_text())["per_seed"]["2"]
+        assert reported["n_windows"] == 100
+        model, _ = load_checkpoint(run / "checkpoint-2.ckpt")
+        split = load_config(str(cfg_path)).split_spec()
+        normalized, _ = fit_apply_zscore(load_csv(raw["dataset"]), split)
+        val = make_windows(normalized, 96, 24, split)["val"]
+        assert evaluate_mse(model, (val.inputs, val.targets)) == best_logged
+        assert reported["mse"] == best_logged
 
 
 class TestCompare:

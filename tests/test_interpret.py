@@ -32,16 +32,15 @@ def small_model(seed=0, **overrides):
 
 class TestPeriods:
     def test_daily_cycle_hourly_data(self):
-        steps, physical = periods_from_frequencies([1.0 / 24], step_duration=3600.0)
+        steps = periods_from_frequencies([1.0 / 24])
         assert steps[0] == pytest.approx(24.0)
-        assert physical[0] == pytest.approx(24 * 3600.0)
 
     def test_nyquist_period(self):
-        steps, _ = periods_from_frequencies([0.5])
+        steps = periods_from_frequencies([0.5])
         assert steps[0] == 2.0
 
     def test_longest_observable_period(self):
-        steps, _ = periods_from_frequencies([1.0 / (10 * 96)])
+        steps = periods_from_frequencies([1.0 / (10 * 96)])
         assert steps[0] == 960.0
 
     def test_rejects_nonpositive(self):
@@ -126,27 +125,14 @@ class TestShapley:
             phi = shapley_bruteforce(contrib)
             assert np.abs(phi - contrib).max() < 1e-9
 
-    def test_l2_magnitude_single_player(self):
-        contrib = np.array([[3.0, 4.0]])
-        phi = shapley_bruteforce(contrib, aggregate="l2-magnitude")
-        assert phi[0] == pytest.approx(5.0)
-
-    def test_l2_magnitude_efficiency(self):
-        # Shapley values always sum to v(full coalition)
-        rng = np.random.default_rng(4)
-        contrib = rng.normal(size=(5, 3))
-        phi = shapley_bruteforce(contrib, aggregate="l2-magnitude")
-        assert phi.sum() == pytest.approx(np.linalg.norm(contrib.sum(axis=0)), rel=1e-12)
-
-    @pytest.mark.parametrize("aggregate", ["per-element", "l2-magnitude"])
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_matches_textbook_definition(self, k, aggregate):
+    # the game is per-element: v(S) is the element-wise sum of S's contributions
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5], ids=lambda k: f"{k}-per-element")
+    def test_matches_textbook_definition(self, k):
         # phi_f = sum over S without f of |S|! (K-|S|-1)! / K! * (v(S + f) - v(S))
         contrib = np.random.default_rng(10 + k).normal(size=(k, 3, 2))
 
         def value(coalition):
-            total = contrib[list(coalition)].sum(axis=0) if coalition else np.zeros(contrib.shape[1:])
-            return np.linalg.norm(total) if aggregate == "l2-magnitude" else total
+            return contrib[list(coalition)].sum(axis=0) if coalition else np.zeros(contrib.shape[1:])
 
         expected = []
         for f in range(k):
@@ -158,16 +144,12 @@ class TestShapley:
                     phi = phi + weight * (value(subset + (f,)) - value(subset))
             expected.append(phi)
         np.testing.assert_allclose(
-            shapley_bruteforce(contrib, aggregate=aggregate), np.array(expected), rtol=0, atol=1e-12
+            shapley_bruteforce(contrib), np.array(expected), rtol=0, atol=1e-12
         )
 
     def test_enumeration_cap(self):
         with pytest.raises(ValueError, match="K <= 12"):
             shapley_bruteforce(np.zeros((13, 1)))
-
-    def test_unknown_aggregate(self):
-        with pytest.raises(ValueError, match="aggregate"):
-            shapley_bruteforce(np.zeros((2, 1)), aggregate="max")
 
 
 class TestFaithfulness:
