@@ -308,17 +308,31 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 
 def cmd_compare(cfg: RunConfig, args) -> int:
     def read_metrics(path):
-        with open(path) as fh:
-            payload = json.load(fh)
-        return payload["per_seed"]
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not JSON
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            raise ConfigError(f"cannot read metrics file {path}: {reason}") from exc
+        per_seed = payload.get("per_seed") if isinstance(payload, dict) else None
+        if not isinstance(per_seed, dict):
+            raise ConfigError(f"{path} is not a metrics file: it has no 'per_seed' object")
+        return per_seed
+
+    def metric_values(path, per_seed, seeds):
+        values = []
+        for s in seeds:
+            value = per_seed[s].get(args.metric) if isinstance(per_seed[s], dict) else None
+            if not isinstance(value, (int, float)):
+                raise ConfigError(f"{path}: seed {s} has no numeric {args.metric!r}")
+            values.append(value)
+        return values
 
     a, b = read_metrics(args.a), read_metrics(args.b)
     shared = sorted(set(a) & set(b), key=int)
     if len(shared) < 2:
         raise ConfigError("compare needs at least two shared seeds between the two runs")
-    xs = [a[s][args.metric] for s in shared]
-    ys = [b[s][args.metric] for s in shared]
-    result = paired_ttest(xs, ys)
+    result = paired_ttest(metric_values(args.a, a, shared), metric_values(args.b, b, shared))
     payload = {"metric": args.metric, "seeds": [int(s) for s in shared], **asdict(result)}
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK

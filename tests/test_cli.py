@@ -242,6 +242,29 @@ class TestCompare:
         assert payload["seeds"] == [1, 2]
         assert payload["metric"] == "mae"
 
+    @pytest.mark.parametrize("content,message", [
+        ({"split": "test"}, "no 'per_seed'"),
+        ([1, 2], "no 'per_seed'"),
+        ({"per_seed": {"1": {"mae": 0.1}, "2": {"mae": 0.2}}}, "no numeric 'mse'"),
+    ], ids=["no_per_seed", "json_list", "no_metric"])
+    def test_malformed_metrics_file_is_one_line_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(content))
+        assert main(["compare", "--a", str(path), "--b", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["directory", "not_json"])
+    def test_unreadable_metrics_file_is_one_line_error(self, tmp_path, capsys, kind):
+        path = tmp_path
+        if kind == "not_json":
+            path = tmp_path / "metrics.json"
+            path.write_text("not json")
+        assert main(["compare", "--a", str(path), "--b", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read metrics file") and err.count("\n") == 1
+
 
 class TestDiscover:
     def test_report_and_spectra_written(self, workspace):

@@ -3,6 +3,9 @@
 import io
 import json
 import math
+import sys
+import threading
+import warnings
 import zipfile
 
 import numpy as np
@@ -24,7 +27,7 @@ from freqlens.model import (
     reconstruct,
     save_checkpoint,
 )
-from freqlens.training import LossWeights, total_loss
+from freqlens.training import Adam, LossWeights, total_loss
 
 
 def small_config(**overrides):
@@ -430,6 +433,165 @@ class TestForward:
         grads = backward(loss)
         g = grads.get(model.scorer_w1.node_id)
         assert g is None or np.max(np.abs(g)) < 1e-12
+
+
+def fresh_copy(model):
+    twin = FreqLens(model.config)
+    twin.load_state_dict(model.state_dict())
+    return twin
+
+
+def assert_same_eval(model, x):
+    """Evaluation of ``model`` equals, bit for bit, a fresh model with the same state."""
+    got, want = model.forward(x), fresh_copy(model).forward(x)
+    for field in ("y_hat", "y_freq", "y_res", "contributions", "coefficients", "bases", "frequencies"):
+        assert getattr(got, field).data.tobytes() == getattr(want, field).data.tobytes(), field
+    np.testing.assert_array_equal(got.selected, want.selected)
+
+
+class TestEvalBasesReuse:
+    """Evaluation reuses the bases while theta and phase keep their bytes."""
+
+    @pytest.mark.parametrize("name", ["theta", "phase"])
+    @pytest.mark.parametrize("write", ["in_place", "rebind"])
+    def test_parameter_write_is_seen(self, name, write):
+        cfg = small_config()
+        model = FreqLens(cfg)
+        x = random_inputs(cfg)
+        model.forward(x)
+        param = getattr(model.bank, name)
+        if write == "in_place":
+            param.data[1] += 0.25
+        else:
+            param.data = param.data + 0.25
+        assert_same_eval(model, x)
+
+    def test_load_state_dict_is_seen(self):
+        cfg = small_config()
+        model = FreqLens(cfg)
+        x = random_inputs(cfg)
+        model.forward(x)
+        state = FreqLens(small_config(seed=5)).state_dict()
+        state["bank.theta"] += 0.25
+        state["bank.phase"] += 0.25
+        model.load_state_dict(state)
+        assert_same_eval(model, x)
+
+    def test_checkpoint_of_an_evaluated_model(self, tmp_path):
+        cfg = small_config()
+        model = FreqLens(cfg)
+        x = random_inputs(cfg)
+        model.forward(x)
+        model.bank.theta.data[...] += 0.25
+        model.bank.phase.data[...] += 0.25
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        loaded, _ = load_checkpoint(path)
+        loaded.forward(x)
+        assert_same_eval(loaded, x)
+        assert loaded.forward(x).y_hat.data.tobytes() == model.forward(x).y_hat.data.tobytes()
+
+    def test_train_step_is_seen(self):
+        cfg = small_config()
+        model = FreqLens(cfg)
+        x = random_inputs(cfg, 4)
+        model.forward(x)
+        optimizer = Adam(model.parameters(), freq_param_names=FreqLens.frequency_parameter_names())
+        model.forward(x)  # the optimizer rebinds each parameter to an equal view
+        theta, phase = model.bank.theta.data.copy(), model.bank.phase.data.copy()
+        out = model.forward(x, training=True, tau=0.5, rng=np.random.default_rng(1))
+        loss, _ = total_loss(model, out, np.ones((4, cfg.H, cfg.C)), LossWeights())
+        optimizer.step(backward(loss), lr=1e-2)
+        assert not np.array_equal(model.bank.theta.data, theta)
+        assert not np.array_equal(model.bank.phase.data, phase)
+        assert_same_eval(model, x)
+
+    def test_training_gradients_ignore_an_earlier_eval(self):
+        cfg = small_config()
+        x, y = random_inputs(cfg, 4), np.ones((4, cfg.H, cfg.C))
+
+        def bank_grads(model):
+            out = model.forward(x, training=True, tau=0.5, rng=np.random.default_rng(2))
+            loss, _ = total_loss(model, out, y, LossWeights())
+            grads = backward(loss)
+            return [grads[p.node_id].tobytes() for p in (model.bank.theta, model.bank.phase)]
+
+        evaluated = FreqLens(cfg)
+        evaluated.forward(x)
+        assert bank_grads(evaluated) == bank_grads(FreqLens(cfg))
+
+    def test_fixed_prior_mode(self):
+        cfg = ModelConfig(L=48, H=8, C=1, d=8, N=2, K=2, freq_mode="fixed-prior", prior_periods=(24, 12))
+        model = FreqLens(cfg)
+        x = random_inputs(cfg)
+        first = model.forward(x)
+        assert model.forward(x).bases is first.bases
+        assert_same_eval(model, x)
+
+    def test_unchanged_bank_builds_no_bases(self, monkeypatch):
+        calls = []
+        real = model_module.build_bases
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "build_bases", counting)
+        cfg = small_config()
+        model = FreqLens(cfg)
+        x = random_inputs(cfg)
+        out = model.forward(x)
+        assert len(calls) == 1
+        again = model.forward(x[:1])
+        model.masked_forward(x, out.selected, np.ones((1, x.shape[0], cfg.K), dtype=bool))
+        assert len(calls) == 1
+        assert again.bases is out.bases and again.frequencies is out.frequencies
+        model.forward(x, training=True, tau=0.5, rng=np.random.default_rng(0))
+        assert len(calls) == 2  # training builds its own, and leaves the evaluation pair alone
+        model.forward(x)
+        assert len(calls) == 2
+
+    def test_near_zero_row_warns_once_per_bank_state(self):
+        # at L = 2 a saturated frequency (~0.5) with phase pi/2 samples two zeros of the cosine
+        cfg = ModelConfig(L=2, H=1, C=1, d=2, N=1, K=1)
+        model = FreqLens(cfg)
+        model.bank.theta.data[...] = 100.0
+        model.bank.phase.data[...] = math.pi / 2
+        x = np.ones((1, 2, 1))
+        with pytest.warns(UserWarning, match="near-zero"):
+            model.forward(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model.forward(x)
+        model.bank.phase.data[...] = -math.pi / 2
+        with pytest.warns(UserWarning, match="near-zero"):
+            model.forward(x)
+
+    def test_concurrent_evaluation_matches_serial(self):
+        cfg = small_config()
+        x = random_inputs(cfg, 8)
+        want = [FreqLens(cfg).forward(x[i : i + 1]).y_hat.data.tobytes() for i in range(8)]
+        shared = FreqLens(cfg)  # every thread races to build and store the first pair
+        wrong = []
+
+        def serve():
+            for _ in range(25):
+                for i in range(8):
+                    if shared.forward(x[i : i + 1]).y_hat.data.tobytes() != want[i]:
+                        wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=serve) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestMaskedForward:
