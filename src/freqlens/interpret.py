@@ -20,7 +20,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .autodiff import Tensor
-from .model import ForwardOutput, FreqLens, apply_heads
+from .model import FreqLens, apply_heads
 
 __all__ = [
     "PeriodMatch",
@@ -181,27 +181,59 @@ def _leave_one_out(b: int, k: int) -> np.ndarray:
     return np.broadcast_to(rows[:, None, :], (k + 1, b, k))
 
 
-def per_frequency_impacts(model: FreqLens, inputs, max_samples: int = 64,
-                          output: ForwardOutput | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+def _samples(inputs, max_samples: int) -> np.ndarray:
+    """The first ``max_samples`` windows of ``inputs`` as float64; empty inputs are rejected."""
+    if max_samples < 1:
+        raise ValueError(f"max_samples must be at least 1, got {max_samples}")
+    x = np.asarray(inputs, dtype=np.float64)
+    if x.shape[:1] == (0,):
+        raise ValueError(f"no input windows: inputs have shape {x.shape}")
+    return x[:max_samples]
+
+
+def _attributed(model: FreqLens, x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Selection [B, K], gate value and attribution magnitudes [B, K] of one evaluation forward.
+
+    Nothing else of the forward's output is kept, so its contributions
+    and tape are freed before the masked recomputation runs; the
+    contributions, which this call owns, are squared in place.
+    """
+    out = model.forward(x, training=False)
+    squares = np.square(out.contributions.data, out=out.contributions.data)
+    return out.selected, float(out.alpha.data), np.sqrt(squares.sum(axis=(2, 3)))
+
+
+def _removal_impacts(rows: np.ndarray, alpha: float, k: int) -> np.ndarray:
+    """Fused-prediction impact l2 norms [B, K] of each single removal.
+
+    ``rows`` starts with a leave-one-out set (``_leave_one_out``): the
+    impact of slot f in sample b is alpha * ||rows[0, b] - rows[1+f, b]||.
+    The removals run one at a time through one [B, H, C] buffer, so no
+    [K, B, H, C] difference is built.
+    """
+    diff = np.empty_like(rows[0])
+    sq_norms = np.empty((k, rows.shape[1]))
+    for f in range(k):
+        np.subtract(rows[0], rows[1 + f], out=diff)
+        np.square(diff, out=diff)
+        diff.sum(axis=(1, 2), out=sq_norms[f])
+    return alpha * np.sqrt(sq_norms).T
+
+
+def per_frequency_impacts(model: FreqLens, inputs, max_samples: int = 64) -> tuple[np.ndarray, np.ndarray, float]:
     """Removal impact of each selected frequency, by masked recomputation.
 
     Returns (attribution magnitudes [B, K], fused-prediction impact l2
-    norms [B, K], gate value).  For the additive path the impact of
-    frequency f is exactly gate * ||contribution(f)||.  One
-    ``masked_forward`` call with a leave-one-out mask recomputes the
-    full prediction and every single removal for the whole batch.
-    ``output`` may pass the evaluation forward of the same (truncated)
-    inputs so it is not run twice; only its selection, gate and
-    magnitudes are read.
+    norms [B, K], gate value) over the first ``max_samples`` (>= 1)
+    windows.  For the additive path the impact of frequency f is
+    exactly gate * ||contribution(f)||.  One ``masked_forward`` call
+    with a leave-one-out mask recomputes the full prediction and every
+    single removal for the whole batch.
     """
-    x = np.asarray(inputs, dtype=np.float64)[:max_samples]
-    out = model.forward(x, training=False) if output is None else output
-    alpha = float(out.alpha.data)
-    mags = np.sqrt((out.contributions.data ** 2).sum(axis=(2, 3)))
-    rows = model.masked_forward(x, out.selected, _leave_one_out(*out.selected.shape))
-    removed = rows[0] - rows[1:]  # [K, B, H, C]
-    impacts = alpha * np.sqrt((removed ** 2).sum(axis=(2, 3))).T
-    return mags, impacts, alpha
+    x = _samples(inputs, max_samples)
+    selected, alpha, mags = _attributed(model, x)
+    rows = model.masked_forward(x, selected, _leave_one_out(*selected.shape))
+    return mags, _removal_impacts(rows, alpha, selected.shape[1]), alpha
 
 
 def faithfulness_test(model: FreqLens, inputs, k_list, max_samples: int = 64) -> list[FaithfulnessResult]:
@@ -212,24 +244,28 @@ def faithfulness_test(model: FreqLens, inputs, k_list, max_samples: int = 64) ->
     gate * (M(S) - M(S minus top-k)).  The reported correlation pools
     per-frequency attribution magnitudes against their individual
     removal impacts, which the additive structure forces to be
-    perfectly linear.  One forward serves both; the removals are one
-    ``masked_forward`` call whose rows are the full set and one
-    "top-k removed" mask per distinct k (sizes above K collapse onto K).
+    perfectly linear.  The first ``max_samples`` (>= 1) windows take
+    one forward, which gives the selection, gate and magnitudes, and
+    one ``masked_forward`` call: its rows are the leave-one-out set of
+    ``per_frequency_impacts`` (the full set, then each single removal)
+    followed by one "top-k removed" mask per distinct k (sizes above K
+    collapse onto K).
     """
-    x = np.asarray(inputs, dtype=np.float64)[:max_samples]
-    out = model.forward(x, training=False)
-    mags, impacts, alpha = per_frequency_impacts(model, x, output=out)
-    correlation = _pearson(mags, impacts)
-
     k_effs = list(dict.fromkeys(min(int(k), model.config.K) for k in k_list))
     if any(k < 0 for k in k_effs):
         raise ValueError(f"removal sizes must be nonnegative, got {list(k_list)}")
+    x = _samples(inputs, max_samples)
+    selected, alpha, mags = _attributed(model, x)
+    b, k = selected.shape
     ranked = np.argsort(-mags, axis=1, kind="stable")  # slots, strongest first
     rank = np.argsort(ranked, axis=1)  # rank of each slot
-    keep = rank[None] >= np.array([0, *k_effs])[:, None, None]  # row 0 keeps every slot
-    rows = model.masked_forward(x, out.selected, keep)
+    top_k_removed = rank[None] >= np.array(k_effs, dtype=np.int64)[:, None, None]
+    rows = model.masked_forward(x, selected, np.concatenate([_leave_one_out(b, k), top_k_removed]))
+    correlation = _pearson(mags, _removal_impacts(rows, alpha, k))
+    freq_delta = np.empty_like(rows[0])
     results = []
-    for k_eff, freq_delta in zip(k_effs, rows[0] - rows[1:]):
+    for k_eff, row in zip(k_effs, rows[1 + k :]):
+        np.subtract(rows[0], row, out=freq_delta)
         # per-sample mean absolute change, then the mean over samples
         fused = np.abs(alpha * freq_delta).mean(axis=(1, 2))
         freq = np.abs(freq_delta).mean(axis=(1, 2))
@@ -239,7 +275,7 @@ def faithfulness_test(model: FreqLens, inputs, k_list, max_samples: int = 64) ->
                 mean_abs_change=float(fused.mean()),
                 mean_abs_change_freq_path=float(freq.mean()),
                 attribution_impact_correlation=correlation,
-                n_samples=x.shape[0],
+                n_samples=b,
             )
         )
     return results
@@ -358,6 +394,8 @@ def verify_axioms(model: FreqLens, inputs=None, tol: float = 1e-9) -> dict[str, 
     if inputs is None:
         inputs = np.random.default_rng(0).normal(size=(2, cfg.L, cfg.C))
     x = np.asarray(inputs, dtype=np.float64)
+    if x.shape[:1] == (0,):
+        raise ValueError(f"verify_axioms: no input windows, inputs have shape {x.shape}")
     out = model.forward(x)
     checks: dict[str, AxiomCheck] = {}
 

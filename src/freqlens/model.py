@@ -478,9 +478,11 @@ class FreqLens:
         row s sums the contributions of the slots with ``keep[s, b, k]``
         true.  This is an independent recomputation, not a read of the
         forward's contributions: an all-true row reproduces that
-        forward's y_freq bit for bit (same reduction over slots) and an
-        all-false row is exactly zero.  One encode and one pass of the K
-        heads serve every row, however large S is.
+        forward's y_freq bit for bit (same reduction over slots), an
+        all-false row is exactly zero, and a dropped slot is excluded
+        exactly even when its contribution is not finite.  One encode
+        and one pass of the K heads serve every row, however large S
+        is, and the only [S, ...] array is the returned one.
         """
         cfg = self.config
         x = np.asarray(x, dtype=np.float64)
@@ -494,20 +496,28 @@ class FreqLens:
                 f"masked_forward: expected a bool slot mask [S, {b}, {cfg.K}], "
                 f"got {keep.dtype} {keep.shape}"
             )
-        *_, c = self._encode(Tensor(x), training=False)
+        c = self._encode(Tensor(x), training=False)[-1]
         stacked = self.head_contribution(ad.gather_rows(c, selection)).data  # [B, K, H, C]
-        # (stacked[None] * keep[..., None, None]).sum(axis=2), one row at a
-        # time: the [S, B, K, H, C] product would raise peak memory by S
-        # copies of the contributions.  Each row is the same reduction as
-        # forward's contributions.sum(axis=1), hence bit-identical: the
-        # product goes to a buffer with the strides of ``stacked``, because
-        # NumPy's summation order over the slot axis follows the strides
-        # (a plain product can come out C-ordered, e.g. when H * C == 1).
+        del c  # the [B, N, d] coefficients are not needed while the rows are summed
+        # Row s is stacked.sum(axis=1) with the dropped slots zeroed in
+        # place: ``stacked`` is this call's own head output, so each row
+        # saves only its dropped slots, zeroes them, sums and puts them
+        # back.  A sample that keeps no slot saves nothing and is
+        # written as 0.0, what the sum of zeros gives.  Summing
+        # ``stacked`` itself keeps forward's contributions.sum(axis=1)
+        # bit for bit, because NumPy's summation order over the slot
+        # axis follows the strides (a C-ordered copy can sum
+        # differently, e.g. when H * C == 1).
         masked = np.empty((keep.shape[0], b, cfg.H, cfg.C))
-        kept = np.empty_like(stacked)
         for s, row in enumerate(keep):
-            np.multiply(stacked, row[:, :, None, None], out=kept)
-            masked[s] = kept.sum(axis=1)
+            empty = ~row.any(axis=1)  # samples that keep no slot
+            dropped = ~row & ~empty[:, None]
+            saved = stacked[dropped]
+            stacked[dropped] = 0.0
+            stacked.sum(axis=1, out=masked[s])
+            stacked[dropped] = saved
+            del saved  # freed before the next row saves its own
+            masked[s, empty] = 0.0
         return masked
 
     def attribute(self, output: ForwardOutput) -> AttributionReport:

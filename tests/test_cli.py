@@ -55,6 +55,13 @@ def workspace(tmp_path_factory):
     return {"root": root, "config": str(cfg_path), "run": str(root / "run"), "raw": config}
 
 
+@pytest.fixture(scope="module")
+def metrics_file(workspace):
+    """The trained run's test-split metrics, written by ``evaluate`` here so no test order is assumed."""
+    assert main(["evaluate", "--config", workspace["config"], "--run", workspace["run"]]) == 0
+    return str(workspace["root"] / "run" / "metrics-test.json")
+
+
 class TestConfig:
     def test_defaults_cover_every_key(self):
         cfg = load_config(None)
@@ -227,16 +234,16 @@ class TestEvaluate:
 
 
 class TestCompare:
-    def test_run_against_itself_is_not_significant(self, workspace, capsys):
-        metrics = str(workspace["root"] / "run" / "metrics-test.json")
+    def test_run_against_itself_is_not_significant(self, metrics_file, capsys):
+        metrics = metrics_file
         assert main(["compare", "--a", metrics, "--b", metrics]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["p_value"] == 1.0
         assert payload["t_stat"] == 0.0
         assert payload["n"] == 2
 
-    def test_reports_seed_count(self, workspace, capsys):
-        metrics = str(workspace["root"] / "run" / "metrics-test.json")
+    def test_reports_seed_count(self, metrics_file, capsys):
+        metrics = metrics_file
         main(["compare", "--a", metrics, "--b", metrics, "--metric", "mae"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["seeds"] == [1, 2]

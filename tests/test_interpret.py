@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from freqlens.model import FreqLens, ModelConfig
 from freqlens.interpret import (
+    _leave_one_out,
     alpha_report,
     build_discovery_report,
     export_loss_curves_csv,
@@ -189,7 +191,7 @@ class TestFaithfulness:
                 changes.append(np.abs(full - partial).mean())
             assert r.mean_abs_change_freq_path == pytest.approx(np.mean(changes), rel=1e-12)
 
-    def test_one_forward_and_two_masked_passes_per_call(self, monkeypatch):
+    def _count_calls(self, monkeypatch):
         calls = {"forward": 0, "masked_forward": 0}
         for name in calls:
             original = getattr(self.model, name)
@@ -199,12 +201,40 @@ class TestFaithfulness:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(self.model, name, counted)
+        return calls
+
+    def test_one_forward_and_one_masked_pass_per_call(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
         faithfulness_test(self.model, self.x, k_list=[1, 2, 4])
-        assert calls == {"forward": 1, "masked_forward": 2}
+        assert calls == {"forward": 1, "masked_forward": 1}
 
     def test_negative_removal_size_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             faithfulness_test(self.model, self.x, k_list=[-1])
+
+    def test_negative_removal_size_rejected_before_the_forward(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        with pytest.raises(ValueError, match="nonnegative"):
+            faithfulness_test(self.model, self.x, k_list=[2, -1])
+        assert calls == {"forward": 0, "masked_forward": 0}
+
+    @pytest.mark.parametrize("max_samples", [0, -1])
+    def test_max_samples_below_one_rejected(self, max_samples):
+        # -1 used to drop the last window and 0 to return NaN results
+        with pytest.raises(ValueError, match="max_samples must be at least 1"):
+            faithfulness_test(self.model, self.x, k_list=[1], max_samples=max_samples)
+        with pytest.raises(ValueError, match="max_samples must be at least 1"):
+            per_frequency_impacts(self.model, self.x, max_samples=max_samples)
+
+    def test_no_windows_rejected(self):
+        with pytest.raises(ValueError, match="no input windows"):
+            faithfulness_test(self.model, self.x[:0], k_list=[1])
+
+    def test_max_samples_keeps_the_first_windows(self):
+        (r,) = faithfulness_test(self.model, self.x, k_list=[2], max_samples=4)
+        (expected,) = faithfulness_test(self.model, self.x[:4], k_list=[2])
+        assert r == expected
+        assert r.n_samples == 4
 
     def test_zero_contributions_zero_change(self):
         out = faithfulness_test(self.model, np.zeros((2, 16, 2)), k_list=[1])
@@ -216,6 +246,41 @@ class TestFaithfulness:
         (r,) = results
         alpha = 0.5  # fresh model: sigmoid(0)
         assert r.mean_abs_change == pytest.approx(alpha * r.mean_abs_change_freq_path, rel=1e-12)
+
+
+class TestMaskedPassMemory:
+    """tracemalloc peaks at the paper-default config, in units of the [B, K, H, C] contributions."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        model = FreqLens(ModelConfig())  # L=96, H=96, C=7, d=64, N=32, K=8
+        cfg = model.config
+        x = np.random.default_rng(0).normal(size=(64, cfg.L, cfg.C))
+        selected = model.forward(x).selected  # also builds the evaluation bases
+        return model, x, selected, x.shape[0] * cfg.K * cfg.H * cfg.C * 8
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_masked_forward_builds_no_per_row_buffer(self, case):
+        # reads ~1.13; a per-row [B, K, H, C] product buffer reads ~2.13
+        model, x, selected, contributions_bytes = case
+        rows, peak = self._peak(lambda: model.masked_forward(x, selected, _leave_one_out(*selected.shape)))
+        assert (peak - rows.nbytes) / contributions_bytes <= 1.6
+
+    def test_faithfulness_test_peak(self, case):
+        # reads ~3.14; a per-row product buffer in masked_forward reads ~3.76, and
+        # two masked passes with [K, B, H, C] removal differences ~6.04
+        model, x, _, contributions_bytes = case
+        _, peak = self._peak(lambda: faithfulness_test(model, x, [1, 2, 4, 8]))
+        assert peak / contributions_bytes <= 3.45
 
 
 class TestAlphaReport:
@@ -285,6 +350,12 @@ class TestVerifyAxioms:
         assert len(checks) == 5
         for name, check in checks.items():
             assert check.passed, f"{name} failed with deviation {check.max_deviation}"
+
+    def test_no_windows_rejected(self):
+        # used to fail inside NumPy's max reduction
+        model = small_model(seed=7)
+        with pytest.raises(ValueError, match="verify_axioms: no input windows"):
+            verify_axioms(model, np.zeros((0, model.config.L, model.config.C)))
 
     def test_broken_head_bias_breaks_null_frequency(self):
         # planting a hidden bias by shifting weights does not break nullity,

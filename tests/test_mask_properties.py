@@ -121,3 +121,64 @@ def test_contributions_equal_per_slot_numpy_reference(shape):
             np.testing.assert_array_equal(
                 out.contributions.data[:, k], expected.reshape(x.shape[0], cfg.H, cfg.C)
             )
+
+
+def _mixed_mask(rng, b, k):
+    """Partial rows before and after all-true rows, then a repeat of the first row."""
+    first, second = rng.random((2, b, k)) < 0.5
+    full = np.ones((b, k), dtype=bool)
+    return np.stack([first, full, second, full, first])
+
+
+@settings(max_examples=40, deadline=None)
+@_with_corners
+@given(shape=shapes())
+def test_each_row_equals_a_one_row_call_bit_for_bit(shape):
+    model, x, _ = _case(shape)
+    out = model.forward(x)
+    keep = _mixed_mask(np.random.default_rng(shape["seed"]), *out.selected.shape)
+    rows = model.masked_forward(x, out.selected, keep)
+    for row, mask in zip(rows, keep):
+        assert row.tobytes() == model.masked_forward(x, out.selected, mask[None])[0].tobytes()
+    assert rows[0].tobytes() == rows[4].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@_with_corners
+@given(shape=shapes())
+def test_masking_leaves_no_trace(shape):
+    # the dropped slots are zeroed in place and put back, so nothing else may change
+    model, x, _ = _case(shape)
+    out = model.forward(x)
+    contributions = out.contributions.data.tobytes()
+    keep = _mixed_mask(np.random.default_rng(shape["seed"]), *out.selected.shape)
+    first = model.masked_forward(x, out.selected, keep)
+    assert out.contributions.data.tobytes() == contributions
+    assert model.masked_forward(x, out.selected, keep).tobytes() == first.tobytes()
+    assert model.forward(x).contributions.data.tobytes() == contributions
+
+
+@settings(max_examples=40, deadline=None)
+@_with_corners
+@given(shape=shapes())
+def test_non_finite_dropped_slot_is_excluded_exactly(shape):
+    model, x, _ = _case(shape)
+    out = model.forward(x)
+    b, k = out.selected.shape
+    keep = _mixed_mask(np.random.default_rng(shape["seed"]), b, k)
+    expected = model.masked_forward(x, out.selected, keep)
+    heads = model.head_contribution
+    poisoned = keep.any(axis=0) & ~keep.all(axis=0)  # kept in some row, dropped in another
+    poisoned[0, 0] = True
+
+    def poison(c_sel):
+        contributions = heads(c_sel)
+        contributions.data[poisoned] = np.where(np.arange(contributions.shape[2])[:, None] % 2, np.inf, np.nan)
+        return contributions
+
+    model.head_contribution = poison
+    rows = model.masked_forward(x, out.selected, keep)
+    clean = ~(keep & poisoned).any(axis=2)  # [S, B]: no poisoned slot kept
+    assert rows[clean].tobytes() == expected[clean].tobytes()
+    assert np.isfinite(rows[clean]).all()
+    assert not np.isfinite(rows[~clean]).any()
