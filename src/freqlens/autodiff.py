@@ -17,7 +17,10 @@ Design constraints:
 
 Discrete boundary operations (random noise draws, top-k index extraction,
 sort permutations) are deliberately untracked: they enter the graph as
-constants.
+constants.  There is no sort op: a sort is a constant ``np.argsort``
+permutation applied by indexing, whose backward rule scatters each
+gradient back to its source position, the almost-everywhere derivative
+of sorting.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ __all__ = [
     "transpose",
     "clip",
     "gather_rows",
-    "sort_ascending",
     "check_gradients",
     "finite_difference",
 ]
@@ -477,30 +479,6 @@ def gather_rows(x, index) -> Tensor:
         return (gx,)
 
     return _make(out_data, (x,), backward_fn)
-
-
-def sort_ascending(x) -> tuple[Tensor, np.ndarray]:
-    """Sort a vector ascending.
-
-    Returns the sorted tensor and the permutation (as a constant).  The
-    gradient of sorted position j routes to original index permutation[j];
-    the permutation itself is fixed within one forward pass, which is the
-    standard almost-everywhere derivative of sorting.
-    """
-    x = _as_tensor(x)
-    if x.ndim != 1:
-        raise ValueError(f"sort_ascending: expected a vector, got shape {x.shape}")
-    if np.any(np.isnan(x.data)):
-        raise ValueError("sort_ascending: NaN input")
-    perm = np.argsort(x.data, kind="stable")
-    out_data = x.data[perm]
-
-    def backward_fn(g):
-        gx = np.zeros_like(x.data)
-        gx[perm] = g
-        return (gx,)
-
-    return _make(out_data, (x,), backward_fn), perm
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ identical outputs.
 
 The config file is a flat JSON object; every key has a documented
 default (see CONFIG_REFERENCE) and unknown keys are hard errors so a
-typo cannot silently fall back to a default.
+typo cannot silently fall back to a default.  A key that sets a field of
+ModelConfig, TrainConfig, LossWeights or SplitSpec names that field and
+takes its default from it.
 
 Exit codes: 0 success, 1 usage or config error, 2 verification
 failure, 3 numeric failure.
@@ -18,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,47 +49,63 @@ class ConfigError(Exception):
     pass
 
 
-# key -> (default, help); None defaults carry their expected type in _NONEABLE
+def _field(cls, name: str, help_text: str) -> tuple:
+    """Reference entry of a key that sets field ``name`` of dataclass ``cls``, with the field's default.
+
+    JSON has no tuples, so a tuple default reads as a list.
+    """
+    default = next(f.default for f in fields(cls) if f.name == name)
+    return (list(default) if isinstance(default, tuple) else default), help_text, (cls, name)
+
+
+# key -> (default, help, (dataclass, field) the key sets or None);
+# None defaults carry their expected type in _NONEABLE
 CONFIG_REFERENCE = {
-    "dataset": (None, "path to the input CSV (header row, optional timestamp column)"),
-    "step_duration": (3600.0, "physical seconds per time step"),
-    "timestamp_column": ("date", "header name of the excluded timestamp column"),
-    "columns": (None, "optional list of channel names to keep, in order"),
-    "split_mode": ("ratio", "chronological split flavor: 'ratio' or 'months'"),
-    "split_train": (0.7, "train fraction (ratio mode)"),
-    "split_val": (0.1, "validation fraction (ratio mode)"),
-    "split_test": (0.2, "test fraction (ratio mode)"),
-    "split_months": ([12, 4, 4], "train/val/test month counts (months mode, 30-day months)"),
-    "synth_periods": ([24.0, 12.0], "cosine periods in steps for the synthetic generator"),
-    "synth_amplitudes": ([1.0, 0.5], "cosine amplitudes, one per period"),
-    "synth_phases": ([0.0, 0.0], "cosine phases in radians, one per period"),
-    "synth_trend_slope": (0.0, "linear trend added per step"),
-    "synth_noise_std": (0.1, "standard deviation of additive Gaussian noise"),
-    "synth_length": (2000, "number of generated steps"),
-    "synth_seed": (0, "seed of the synthetic noise"),
-    "input_length": (96, "input window length L in steps"),
-    "horizon": (96, "forecast horizon H in steps"),
-    "hidden_width": (64, "hidden width d"),
-    "num_bases": (32, "number of frequency bases N"),
-    "top_k": (8, "selected frequencies K per sample"),
-    "freq_mode": ("learnable", "'learnable' or 'fixed-prior'"),
-    "prior_periods": (None, "fixed-prior periods in steps (requires freq_mode='fixed-prior')"),
-    "gumbel_tau_start": (1.0, "training selection temperature at the first epoch"),
-    "gumbel_tau_end": (0.1, "training selection temperature at the final epoch"),
-    "force_alpha": (None, "pin the fusion gate to this value (1.0 = frequency path only)"),
-    "epochs": (50, "training epochs"),
-    "base_lr": (1e-3, "base learning rate (cosine-annealed)"),
-    "freq_lr_multiplier": (5.0, "learning-rate multiplier for frequency parameters"),
-    "batch_size": (32, "training batch size"),
-    "patience": (10, "early-stopping patience in epochs"),
-    "lambda_div": (0.01, "weight of the frequency-gap barrier"),
-    "lambda_recon": (0.1, "weight of the hidden reconstruction error"),
-    "epsilon_div": (1e-6, "epsilon inside the gap barrier logarithm"),
-    "known_periods": ([], "known physical periods in seconds, for discovery matching"),
-    "delta": (0.15, "relative-error threshold for a period match"),
-    "faithfulness_k": ([1, 2, 4, 8], "top-k removal sizes for the faithfulness test"),
-    "out_dir": ("runs", "artifact output directory"),
-    "seeds": ([42, 123, 456], "seed list; each seed trains one model"),
+    "dataset": (None, "path to the input CSV (header row, optional timestamp column)", None),
+    "step_duration": (3600.0, "physical seconds per time step", None),
+    "timestamp_column": ("date", "header name of the excluded timestamp column", None),
+    "columns": (None, "optional list of channel names to keep, in order", None),
+    "split_mode": _field(SplitSpec, "mode", "chronological split flavor: 'ratio' or 'months'"),
+    "split_train": _field(SplitSpec, "train", "train fraction (ratio mode)"),
+    "split_val": _field(SplitSpec, "val", "validation fraction (ratio mode)"),
+    "split_test": _field(SplitSpec, "test", "test fraction (ratio mode)"),
+    "split_months": _field(SplitSpec, "months", "train/val/test month counts (months mode, 30-day months)"),
+    "synth_periods": ([24.0, 12.0], "cosine periods in steps for the synthetic generator", None),
+    "synth_amplitudes": ([1.0, 0.5], "cosine amplitudes, one per period", None),
+    "synth_phases": ([0.0, 0.0], "cosine phases in radians, one per period", None),
+    "synth_trend_slope": (0.0, "linear trend added per step", None),
+    "synth_noise_std": (0.1, "standard deviation of additive Gaussian noise", None),
+    "synth_length": (2000, "number of generated steps", None),
+    "synth_seed": (0, "seed of the synthetic noise", None),
+    "input_length": _field(ModelConfig, "L", "input window length L in steps"),
+    "horizon": _field(ModelConfig, "H", "forecast horizon H in steps"),
+    "hidden_width": _field(ModelConfig, "d", "hidden width d"),
+    "num_bases": _field(ModelConfig, "N", "number of frequency bases N"),
+    "top_k": _field(ModelConfig, "K", "selected frequencies K per sample"),
+    "freq_mode": _field(ModelConfig, "freq_mode", "'learnable' or 'fixed-prior'"),
+    "prior_periods": _field(
+        ModelConfig, "prior_periods", "fixed-prior periods in steps (requires freq_mode='fixed-prior')"
+    ),
+    "gumbel_tau_start": _field(TrainConfig, "tau_start", "training selection temperature at the first epoch"),
+    "gumbel_tau_end": _field(TrainConfig, "tau_end", "training selection temperature at the final epoch"),
+    "force_alpha": _field(
+        ModelConfig, "force_alpha", "pin the fusion gate to this value (1.0 = frequency path only)"
+    ),
+    "epochs": _field(TrainConfig, "epochs", "training epochs"),
+    "base_lr": _field(TrainConfig, "base_lr", "base learning rate (cosine-annealed)"),
+    "freq_lr_multiplier": _field(
+        TrainConfig, "freq_lr_multiplier", "learning-rate multiplier for frequency parameters"
+    ),
+    "batch_size": _field(TrainConfig, "batch_size", "training batch size"),
+    "patience": _field(TrainConfig, "patience", "early-stopping patience in epochs"),
+    "lambda_div": _field(LossWeights, "lambda_div", "weight of the frequency-gap barrier"),
+    "lambda_recon": _field(LossWeights, "lambda_recon", "weight of the hidden reconstruction error"),
+    "epsilon_div": _field(LossWeights, "epsilon_div", "epsilon inside the gap barrier logarithm"),
+    "known_periods": ([], "known physical periods in seconds, for discovery matching", None),
+    "delta": (0.15, "relative-error threshold for a period match", None),
+    "faithfulness_k": ([1, 2, 4, 8], "top-k removal sizes for the faithfulness test", None),
+    "out_dir": ("runs", "artifact output directory", None),
+    "seeds": ([42, 123, 456], "seed list; each seed trains one model", None),
 }
 
 _NONEABLE = {"dataset": str, "columns": list, "prior_periods": list, "force_alpha": float}
@@ -103,49 +121,19 @@ class RunConfig:
         except KeyError:
             raise AttributeError(key) from None
 
-    def model_config(self, channels: int, seed: int) -> ModelConfig:
-        prior = self.values["prior_periods"]
-        return ModelConfig(
-            L=self.values["input_length"],
-            H=self.values["horizon"],
-            C=channels,
-            d=self.values["hidden_width"],
-            N=self.values["num_bases"],
-            K=self.values["top_k"],
-            freq_mode=self.values["freq_mode"],
-            prior_periods=tuple(prior) if prior else None,
-            seed=seed,
-            force_alpha=self.values["force_alpha"],
-        )
+    def build(self, cls, **given):
+        """``cls`` with each field that a config key sets taken from that key, plus ``given``.
 
-    def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.values["epochs"],
-            base_lr=self.values["base_lr"],
-            freq_lr_multiplier=self.values["freq_lr_multiplier"],
-            batch_size=self.values["batch_size"],
-            patience=self.values["patience"],
-            tau_start=self.values["gumbel_tau_start"],
-            tau_end=self.values["gumbel_tau_end"],
-            seed=seed,
-        )
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            lambda_div=self.values["lambda_div"],
-            lambda_recon=self.values["lambda_recon"],
-            epsilon_div=self.values["epsilon_div"],
-        )
-
-    def split_spec(self) -> SplitSpec:
-        if self.values["split_mode"] == "months":
-            return SplitSpec(mode="months", months=tuple(self.values["split_months"]))
-        return SplitSpec(
-            mode="ratio",
-            train=self.values["split_train"],
-            val=self.values["split_val"],
-            test=self.values["split_test"],
-        )
+        JSON lists become tuples; an empty list of a key that may be null
+        is null.
+        """
+        for key, (_, _, target) in CONFIG_REFERENCE.items():
+            if target and target[0] is cls:
+                value = self.values[key]
+                if isinstance(value, list):
+                    value = tuple(value) if value or key not in _NONEABLE else None
+                given[target[1]] = value
+        return cls(**given)
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -164,7 +152,7 @@ def load_config(path: str | None) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown} (see the config reference)")
     values = {}
-    for key, (default, _) in CONFIG_REFERENCE.items():
+    for key, (default, _, _) in CONFIG_REFERENCE.items():
         value = raw.get(key, default)
         values[key] = _check_type(key, value, default)
     return RunConfig(values)
@@ -185,7 +173,7 @@ def _check_type(key, value, default):
 
 def config_reference_text() -> str:
     lines = ["configuration keys (flat JSON object):"]
-    for key, (default, help_text) in CONFIG_REFERENCE.items():
+    for key, (default, help_text, _) in CONFIG_REFERENCE.items():
         lines.append(f"  {key:20s} default={default!r}: {help_text}")
     return "\n".join(lines)
 
@@ -204,7 +192,7 @@ def _load_windows(cfg: RunConfig, *needed: str) -> dict[str, WindowSet]:
         columns=cfg.columns,
         step_duration=cfg.step_duration,
     )
-    split = cfg.split_spec()
+    split = cfg.build(SplitSpec)
     normalized, _ = fit_apply_zscore(table, split)
     windows = make_windows(normalized, cfg.input_length, cfg.horizon, split)
     for name in needed:
@@ -266,8 +254,10 @@ def cmd_train(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     channels = windows["train"].inputs.shape[2]
     for seed in _seed_list(cfg, args):
-        model = FreqLens(cfg.model_config(channels, seed))
-        trained, log = train(model, windows["train"], windows["val"], cfg.train_config(seed), cfg.loss_weights())
+        model = FreqLens(cfg.build(ModelConfig, C=channels, seed=seed))
+        trained, log = train(
+            model, windows["train"], windows["val"], cfg.build(TrainConfig, seed=seed), cfg.build(LossWeights)
+        )
         save_checkpoint(trained, out / f"checkpoint-{seed}.ckpt", seed=seed)
         log.save(out / f"trainlog-{seed}.jsonl")
         export_loss_curves_csv(out / f"losscurves-{seed}.csv", log)
@@ -425,7 +415,7 @@ def cmd_verify_axioms(cfg: RunConfig, args) -> int:
     else:
         seed = args.seed if args.seed is not None else int(cfg.seeds[0])
         channels = 1 if cfg.dataset is None else _load_windows(cfg, "train")["train"].inputs.shape[2]
-        model = FreqLens(cfg.model_config(channels, seed))
+        model = FreqLens(cfg.build(ModelConfig, C=channels, seed=seed))
     checks = verify_axioms(model)
     failed = [name for name, check in checks.items() if not check.passed]
     for name, check in checks.items():

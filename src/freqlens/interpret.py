@@ -203,18 +203,25 @@ def _attributed(model: FreqLens, x: np.ndarray) -> tuple[np.ndarray, float, np.n
     return out.selected, float(out.alpha.data), np.sqrt(squares.sum(axis=(2, 3)))
 
 
+def _removals(rows: np.ndarray, k: int):
+    """Yield (f, rows[0] - rows[1+f]) for each slot f of a leave-one-out set (``_leave_one_out``).
+
+    The removals run one at a time through one [B, H, C] buffer, which
+    the caller may overwrite before taking the next, so no [K, B, H, C]
+    difference is built.
+    """
+    diff = np.empty_like(rows[0])
+    for f in range(k):
+        yield f, np.subtract(rows[0], rows[1 + f], out=diff)
+
+
 def _removal_impacts(rows: np.ndarray, alpha: float, k: int) -> np.ndarray:
     """Fused-prediction impact l2 norms [B, K] of each single removal.
 
-    ``rows`` starts with a leave-one-out set (``_leave_one_out``): the
-    impact of slot f in sample b is alpha * ||rows[0, b] - rows[1+f, b]||.
-    The removals run one at a time through one [B, H, C] buffer, so no
-    [K, B, H, C] difference is built.
+    The impact of slot f in sample b is alpha * ||rows[0, b] - rows[1+f, b]||.
     """
-    diff = np.empty_like(rows[0])
     sq_norms = np.empty((k, rows.shape[1]))
-    for f in range(k):
-        np.subtract(rows[0], rows[1 + f], out=diff)
+    for f, diff in _removals(rows, k):
         np.square(diff, out=diff)
         diff.sum(axis=(1, 2), out=sq_norms[f])
     return alpha * np.sqrt(sq_norms).T
@@ -313,7 +320,7 @@ class SeedDiscovery:
     seed: int
     periods_steps: list[float]  # ascending
     matches: list[PeriodMatch]
-    selection_counts: list[int]
+    selection_counts: list[int]  # in the order of periods_steps
 
 
 @dataclass
@@ -332,29 +339,31 @@ class DiscoveryReport:
     summary: list[KnownPeriodSummary] = field(default_factory=list)
 
 
-def build_discovery_report(seeded_models, known_periods_steps, delta: float = 0.15,
-                           test_inputs=None) -> DiscoveryReport:
+def _by_period(model: FreqLens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bank frequencies, their periods, and the basis indices in ascending period order."""
+    freqs = model.bank.frequencies().data
+    periods = periods_from_frequencies(freqs)
+    return freqs, periods, np.argsort(periods, kind="stable")
+
+
+def build_discovery_report(seeded_models, known_periods_steps, delta: float, test_inputs) -> DiscoveryReport:
     """Cross-seed discovery table: learned periods vs known cycles.
 
-    ``seeded_models`` is a sequence of (seed, model); ``test_inputs``
-    optionally adds per-basis selection counts over that window set.
-    Per known period, the summary aggregates the matched seeds only.
+    ``seeded_models`` is a sequence of (seed, model).  Each seed lists
+    its periods in ascending order and, in the same order, how often
+    each basis is selected over ``test_inputs``.  Per known period, the
+    summary aggregates the matched seeds only.
     """
     known = [float(k) for k in known_periods_steps]
     report = DiscoveryReport(delta=delta, known_periods=known)
     for seed, model in seeded_models:
-        freqs = model.bank.frequencies().data
-        periods = periods_from_frequencies(freqs)
-        matches = match_known_periods(periods, known, delta=delta)
-        counts = (
-            selection_counts(model, test_inputs).tolist() if test_inputs is not None else [0] * model.config.N
-        )
+        _, periods, order = _by_period(model)
         report.seeds.append(
             SeedDiscovery(
                 seed=int(seed),
-                periods_steps=sorted(float(p) for p in periods),
-                matches=matches,
-                selection_counts=counts,
+                periods_steps=periods[order].tolist(),
+                matches=match_known_periods(periods, known, delta=delta),
+                selection_counts=selection_counts(model, test_inputs)[order].tolist(),
             )
         )
     for j, k in enumerate(known):
@@ -388,7 +397,8 @@ def verify_axioms(model: FreqLens, inputs=None, tol: float = 1e-9) -> dict[str, 
     checked within ``tol``; the null-frequency and symmetry checks are
     bit-exact.  Faithfulness recomputes every single removal of every
     sample with one leave-one-out ``masked_forward`` call and compares
-    each change with the forward's contribution.
+    each change with the forward's contribution.  A non-finite
+    contribution gives a NaN deviation, which fails its check.
     """
     cfg = model.config
     if inputs is None:
@@ -403,8 +413,11 @@ def verify_axioms(model: FreqLens, inputs=None, tol: float = 1e-9) -> dict[str, 
     checks["completeness"] = AxiomCheck(dev < tol, dev)
 
     rows = model.masked_forward(x, out.selected, _leave_one_out(*out.selected.shape))
-    removed = rows[0] - rows[1:]  # [K, B, H, C]
-    dev = float(np.abs(removed - out.contributions.data.transpose(1, 0, 2, 3)).max())
+    devs = np.empty(cfg.K)  # maxima collect in arrays: ndarray.max keeps a NaN, Python's max can drop it
+    for f, diff in _removals(rows, cfg.K):
+        diff -= out.contributions.data[:, f]
+        devs[f] = np.abs(diff, out=diff).max()
+    dev = float(devs.max())
     checks["faithfulness"] = AxiomCheck(dev < tol, dev)
 
     dev = float(np.abs(model.head_contribution(Tensor(np.zeros((1, cfg.K, cfg.d)))).data).max())
@@ -418,10 +431,8 @@ def verify_axioms(model: FreqLens, inputs=None, tol: float = 1e-9) -> dict[str, 
     dev = float(np.abs(twins[:, 0] - twins[:, 1]).max())
     checks["symmetry"] = AxiomCheck(dev == 0.0, dev)
 
-    dev = 0.0
-    for b in range(x.shape[0]):
-        phi = shapley_bruteforce(out.contributions.data[b])
-        dev = max(dev, float(np.abs(phi - out.contributions.data[b]).max()))
+    devs = np.array([np.abs(shapley_bruteforce(c) - c).max() for c in out.contributions.data])
+    dev = float(devs.max())
     checks["shapley_equivalence"] = AxiomCheck(dev < tol, dev)
     return checks
 
@@ -430,22 +441,21 @@ def verify_axioms(model: FreqLens, inputs=None, tol: float = 1e-9) -> dict[str, 
 # plot-ready CSV exports
 # ---------------------------------------------------------------------------
 
-def export_spectrum_csv(path, model: FreqLens, known_periods_steps=(), delta: float = 0.15,
-                        counts: Sequence[int] | None = None) -> None:
-    """Per-basis rows of (frequency, period, selection count, matched flag)."""
-    freqs = model.bank.frequencies().data
-    periods = periods_from_frequencies(freqs)
+def export_spectrum_csv(path, model: FreqLens, known_periods_steps, delta: float, counts: Sequence[int]) -> None:
+    """Per-basis rows of (basis index, frequency, period, selection count, matched flag).
+
+    Rows run in ascending period order, the order of
+    ``SeedDiscovery.periods_steps``; ``counts`` are listed in that order
+    too, as ``SeedDiscovery.selection_counts`` holds them.
+    """
+    freqs, periods, order = _by_period(model)
     known = np.asarray(list(known_periods_steps), dtype=np.float64)
-    if counts is None:
-        counts = np.zeros(model.config.N, dtype=np.int64)
     with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["basis_index", "frequency", "period_steps", "selection_count", "matched"])
-        for i in range(model.config.N):
-            matched = bool(known.size) and bool(
-                np.any(np.abs(periods[i] - known) / known < delta)
-            )
-            writer.writerow([i, repr(float(freqs[i])), repr(float(periods[i])), int(counts[i]), int(matched)])
+        for i, count in zip(order, counts, strict=True):
+            matched = bool(np.any(np.abs(periods[i] - known) / known < delta))
+            writer.writerow([int(i), repr(float(freqs[i])), repr(float(periods[i])), int(count), int(matched)])
 
 
 def export_loss_curves_csv(path, log) -> None:

@@ -110,14 +110,15 @@ def diversity_loss(freqs: Tensor, epsilon: float = 1e-6) -> Tensor:
     -(1/(N-1)) * sum_j ln(ln f_(j+1) - ln f_(j) + eps).  Working on log
     frequencies makes the penalty ratio-invariant: pairs (0.01, 0.02)
     and (0.1, 0.2) are penalized identically.  Duplicates give a finite
-    barrier of -ln(eps).
+    barrier of -ln(eps).  The log frequencies are sorted by a constant
+    ``np.argsort`` permutation; NaN or nonpositive frequencies raise
+    ``ValueError``.
     """
     if freqs.size < 2:
         raise ValueError("diversity loss needs at least two frequencies")
-    if np.any(freqs.data <= 0):
+    if not np.all(freqs.data > 0):  # also rejects NaN
         raise ValueError("diversity loss needs positive frequencies")
-    sorted_f, _ = ad.sort_ascending(freqs)
-    logs = ad.log(sorted_f)
+    logs = ad.log(freqs)[np.argsort(freqs.data, kind="stable")]
     gaps = logs[1:] - logs[:-1]
     shifted = gaps + epsilon
     if np.any(shifted.data <= 0):

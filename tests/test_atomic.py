@@ -42,7 +42,9 @@ WRITERS = {
     "checkpoint": lambda p: save_checkpoint(FreqLens(ModelConfig(L=8, H=2, C=1, d=2, N=2, K=1)), p),
     "trainlog": lambda p: _log().save(p),
     "losscurves_csv": lambda p: export_loss_curves_csv(p, _log()),
-    "spectrum_csv": lambda p: export_spectrum_csv(p, FreqLens(ModelConfig(L=8, H=2, C=1, d=2, N=2, K=1))),
+    "spectrum_csv": lambda p: export_spectrum_csv(
+        p, FreqLens(ModelConfig(L=8, H=2, C=1, d=2, N=2, K=1)), [24.0], 0.15, [0, 0]
+    ),
     "series_csv": lambda p: save_csv(synth_series([(4.0, 1.0, 0.0)], length=8), p),
     "json_report": lambda p: cli._dump_json(p, {"k": 1}),
 }

@@ -112,28 +112,6 @@ class TestBackwardValues:
         assert grads[b.node_id].shape == b.shape
 
 
-class TestSort:
-    def test_sort_values_and_permutation(self):
-        out, perm = ad.sort_ascending(Tensor([0.3, 0.1, 0.2]))
-        np.testing.assert_allclose(out.data, [0.1, 0.2, 0.3])
-        assert perm.tolist() == [1, 2, 0]
-
-    def test_sorted_input_identity_permutation(self):
-        _, perm = ad.sort_ascending(Tensor([1.0, 2.0, 3.0]))
-        assert perm.tolist() == [0, 1, 2]
-
-    def test_gradient_routes_through_permutation(self):
-        x = Tensor([0.3, 0.1, 0.2], requires_grad=True)
-        out, _ = ad.sort_ascending(x)
-        g = grad_of(out[0], x)
-        # d(sorted[0]) / d(input[1]) = 1
-        np.testing.assert_allclose(g, [0.0, 1.0, 0.0])
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="NaN"):
-            ad.sort_ascending(Tensor([0.1, float("nan")]))
-
-
 class TestGatherRows:
     def test_forward_selection(self):
         x = Tensor(np.arange(12.0).reshape(2, 3, 2))
@@ -168,7 +146,6 @@ ELEMENTWISE_CASES = [
     ("slice", lambda t: ad.square(t[1:, :2]).sum(), (3, 4)),
     ("softmax", lambda t: ad.square(ad.softmax(t, axis=-1)).sum(), (3, 4)),
     ("clip", lambda t: ad.clip(t, -0.2, np.inf).sum(), (5,)),
-    ("sort", lambda t: ad.square(ad.sort_ascending(t)[0]).sum(), (6,)),
 ]
 
 

@@ -18,9 +18,11 @@ from freqlens.cli import (
     CONFIG_REFERENCE,
     ConfigError,
     RunConfig,
+    _load_windows,
     load_config,
     main,
 )
+from freqlens.interpret import periods_from_frequencies, selection_counts
 from freqlens.data import SeriesTable, SplitSpec, fit_apply_zscore, load_csv, make_windows, save_csv
 from freqlens.model import FreqLens, ModelConfig, load_checkpoint, save_checkpoint
 from freqlens.training import LossWeights, TrainConfig, evaluate_mse
@@ -68,13 +70,55 @@ class TestConfig:
         assert set(cfg.values) == set(CONFIG_REFERENCE)
 
     def test_defaults_equal_the_dataclass_defaults(self):
-        # each mapped key's default is a second copy of a dataclass field default
         cfg = load_config(None)
-        assert cfg.model_config(channels=ModelConfig().C, seed=ModelConfig().seed) == ModelConfig()
-        assert cfg.train_config(seed=TrainConfig().seed) == TrainConfig()
-        assert cfg.loss_weights() == LossWeights()
-        assert cfg.split_spec() == SplitSpec()
-        assert RunConfig(dict(cfg.values, split_mode="months")).split_spec() == SplitSpec(mode="months")
+        assert cfg.build(ModelConfig, C=ModelConfig().C, seed=ModelConfig().seed) == ModelConfig()
+        assert cfg.build(TrainConfig, seed=TrainConfig().seed) == TrainConfig()
+        assert cfg.build(LossWeights) == LossWeights()
+        assert cfg.build(SplitSpec) == SplitSpec()
+        assert RunConfig(dict(cfg.values, split_mode="months")).build(SplitSpec) == SplitSpec(mode="months")
+
+    def test_each_mapped_key_sets_its_own_field(self, tmp_path):
+        # every value is distinct and none is a default, so two swapped keys show
+        periods = [float(p) for p in range(30, 53)]
+        expected = {
+            "split_mode": (SplitSpec, "mode", "months"),
+            "split_train": (SplitSpec, "train", 0.55),
+            "split_val": (SplitSpec, "val", 0.15),
+            "split_test": (SplitSpec, "test", 0.3),
+            "split_months": (SplitSpec, "months", [6, 2, 3]),
+            "input_length": (ModelConfig, "L", 20),
+            "horizon": (ModelConfig, "H", 21),
+            "hidden_width": (ModelConfig, "d", 22),
+            "num_bases": (ModelConfig, "N", 23),
+            "top_k": (ModelConfig, "K", 5),
+            "freq_mode": (ModelConfig, "freq_mode", "fixed-prior"),
+            "prior_periods": (ModelConfig, "prior_periods", periods),
+            "force_alpha": (ModelConfig, "force_alpha", 0.25),
+            "gumbel_tau_start": (TrainConfig, "tau_start", 2.5),
+            "gumbel_tau_end": (TrainConfig, "tau_end", 0.05),
+            "epochs": (TrainConfig, "epochs", 7),
+            "base_lr": (TrainConfig, "base_lr", 0.004),
+            "freq_lr_multiplier": (TrainConfig, "freq_lr_multiplier", 3.0),
+            "batch_size": (TrainConfig, "batch_size", 9),
+            "patience": (TrainConfig, "patience", 11),
+            "lambda_div": (LossWeights, "lambda_div", 0.02),
+            "lambda_recon": (LossWeights, "lambda_recon", 0.7),
+            "epsilon_div": (LossWeights, "epsilon_div", 1e-5),
+        }
+        assert set(expected) == {key for key, (_, _, target) in CONFIG_REFERENCE.items() if target}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({key: value for key, (_, _, value) in expected.items()}))
+        cfg = load_config(str(path))
+        built = {
+            ModelConfig: cfg.build(ModelConfig, C=3, seed=4),
+            TrainConfig: cfg.build(TrainConfig, seed=4),
+            LossWeights: cfg.build(LossWeights),
+            SplitSpec: cfg.build(SplitSpec),
+        }
+        for key, (cls, name, value) in expected.items():
+            assert CONFIG_REFERENCE[key][0] != value, key
+            field_value = getattr(built[cls], name)
+            assert field_value == (tuple(value) if isinstance(value, list) else value), key
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -226,7 +270,7 @@ class TestEvaluate:
         reported = json.loads((run / "metrics-val.json").read_text())["per_seed"]["2"]
         assert reported["n_windows"] == 100
         model, _ = load_checkpoint(run / "checkpoint-2.ckpt")
-        split = load_config(str(cfg_path)).split_spec()
+        split = load_config(str(cfg_path)).build(SplitSpec)
         normalized, _ = fit_apply_zscore(load_csv(raw["dataset"]), split)
         val = make_windows(normalized, 96, 24, split)["val"]
         assert evaluate_mse(model, (val.inputs, val.targets)) == best_logged
@@ -282,10 +326,18 @@ class TestDiscover:
         assert len(report["summary"]) == 2
         assert (run / "spectrum-1.csv").exists()
         assert (run / "alpha.json").exists()
+        test_inputs = _load_windows(load_config(workspace["config"]), "test")["test"].inputs
         for seed_report in report["seeds"]:
+            # each basis's (period, selection count) pair, from the checkpoint itself
+            model, _ = load_checkpoint(run / f"checkpoint-{seed_report['seed']}.ckpt")
+            periods = periods_from_frequencies(model.bank.frequencies().data)
+            counts = selection_counts(model, test_inputs)
+            expected = sorted(zip(periods.tolist(), counts.tolist()))
+            assert list(zip(seed_report["periods_steps"], seed_report["selection_counts"])) == expected
             with open(run / f"spectrum-{seed_report['seed']}.csv", newline="") as fh:
-                counts = [int(row["selection_count"]) for row in csv.DictReader(fh)]
-            assert counts == seed_report["selection_counts"]
+                rows = list(csv.DictReader(fh))
+            assert [(float(r["period_steps"]), int(r["selection_count"])) for r in rows] == expected
+            assert all(float(r["period_steps"]) == periods[int(r["basis_index"])] for r in rows)
 
     def test_needs_known_periods(self, workspace, tmp_path):
         cfg = dict(workspace["raw"], known_periods=[])
@@ -394,6 +446,14 @@ def _biased_head(tmp_path, monkeypatch, raw):
     return ["verify-axioms"], raw
 
 
+def _non_finite_head_weight(tmp_path, monkeypatch, raw):
+    # every check reads a NaN deviation and fails, Shapley equivalence included
+    model = FreqLens(ModelConfig(L=16, H=4, C=1, d=4, N=4, K=2))
+    model.head_w2.data[0, 0, 0] = np.nan
+    save_checkpoint(model, tmp_path / "nan.ckpt")
+    return ["verify-axioms", "--checkpoint", str(tmp_path / "nan.ckpt")], raw
+
+
 def _non_finite_loss(tmp_path, monkeypatch, raw):
     real = training.total_loss
 
@@ -423,11 +483,16 @@ class TestFailureExitCodes:
         [
             (_infinite_csv_cell, 1, "infinite cell 'inf' at row 4, column 'value'"),
             (_biased_head, 2, "verification failure: null_frequency"),
+            (
+                _non_finite_head_weight,
+                2,
+                "verification failure: completeness, faithfulness, null_frequency, symmetry, shapley_equivalence",
+            ),
             (_non_finite_loss, 3, "numeric failure: non-finite loss at epoch 0, batch 0"),
             (_empty_val_split, 1, "error: the 'val' split is empty"),
             (_evaluate_empty_val_split, 1, "error: the 'val' split is empty"),
         ],
-        ids=["infinite_csv_cell", "biased_head", "non_finite_loss", "empty_val_split", "evaluate_empty_val_split"],
+        ids=["infinite_csv_cell", "biased_head", "non_finite_head_weight", "non_finite_loss", "empty_val_split", "evaluate_empty_val_split"],
     )
     def test_exit_code_and_one_line(self, workspace, tmp_path, monkeypatch, capsys, forge, code, message):
         raw = dict(workspace["raw"], out_dir=str(tmp_path / "out"), seeds=[1])

@@ -1,5 +1,6 @@
 """Interpretation tests: periods, FFT baseline, Shapley oracle, faithfulness."""
 
+import csv
 import itertools
 import math
 import tracemalloc
@@ -7,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from freqlens import interpret
 from freqlens.model import FreqLens, ModelConfig
 from freqlens.interpret import (
     _leave_one_out,
@@ -282,6 +284,12 @@ class TestMaskedPassMemory:
         _, peak = self._peak(lambda: faithfulness_test(model, x, [1, 2, 4, 8]))
         assert peak / contributions_bytes <= 3.45
 
+    def test_verify_axioms_peak(self, case):
+        # reads ~4.6; [K, B, H, C] removal differences read ~6.5
+        model, x, _, contributions_bytes = case
+        _, peak = self._peak(lambda: verify_axioms(model, x))
+        assert peak / contributions_bytes <= 5.5
+
 
 class TestAlphaReport:
     def test_fresh_model_gate_is_half(self):
@@ -309,6 +317,8 @@ class TestSelectionCounts:
 
 
 class TestDiscoveryReport:
+    X = np.random.default_rng(6).normal(size=(3, 16, 2))
+
     def test_summary_aggregates_matched_seeds_only(self):
         models = [(seed, small_model(seed=seed)) for seed in (1, 2, 3)]
         # push every basis to a very long period, then pin basis 0:
@@ -318,7 +328,7 @@ class TestDiscoveryReport:
             f_target = 1.0 / period
             t = (f_target - model.bank.f_min) / (model.bank.f_max - model.bank.f_min)
             model.bank.theta.data[0] = math.log(t / (1 - t))
-        report = build_discovery_report(models, known_periods_steps=[4.0], delta=0.15)
+        report = build_discovery_report(models, known_periods_steps=[4.0], delta=0.15, test_inputs=self.X)
         (summary,) = report.summary
         assert summary.known_period == 4.0
         assert summary.n_matched == 2
@@ -327,9 +337,33 @@ class TestDiscoveryReport:
         assert summary.std_learned == pytest.approx(0.1, rel=1e-6)
 
     def test_per_seed_periods_sorted(self):
-        report = build_discovery_report([(0, small_model())], known_periods_steps=[24.0])
+        report = build_discovery_report([(0, small_model())], known_periods_steps=[24.0], delta=0.15,
+                                        test_inputs=self.X)
         periods = report.seeds[0].periods_steps
         assert periods == sorted(periods)
+
+    def test_each_count_stays_with_its_period(self, monkeypatch, tmp_path):
+        # forged: the periods run in no sorted order over the bases, and
+        # basis i is selected 10 i + 1 times
+        model = small_model()
+        n = model.config.N
+        model.bank.theta.data[:] = np.linspace(-3.0, 3.0, n)[[3, 0, 6, 1, 7, 2, 5, 4]]
+        counts = 10 * np.arange(n) + 1
+        monkeypatch.setattr(interpret, "selection_counts", lambda m, inputs: counts.copy())
+        periods = periods_from_frequencies(model.bank.frequencies().data)
+        expected = sorted(zip(periods.tolist(), counts.tolist()))
+
+        (seed,) = build_discovery_report([(0, model)], [24.0], delta=0.15, test_inputs=self.X).seeds
+        assert list(zip(seed.periods_steps, seed.selection_counts)) == expected
+
+        path = tmp_path / "spectrum.csv"
+        export_spectrum_csv(path, model, [24.0], 0.15, seed.selection_counts)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(float(r["period_steps"]), int(r["selection_count"])) for r in rows] == expected
+        for r in rows:
+            i = int(r["basis_index"])
+            assert (float(r["period_steps"]), int(r["selection_count"])) == (periods[i], counts[i])
 
 
 class TestVerifyAxioms:
@@ -350,6 +384,17 @@ class TestVerifyAxioms:
         assert len(checks) == 5
         for name, check in checks.items():
             assert check.passed, f"{name} failed with deviation {check.max_deviation}"
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_head_weight_fails_every_check(self, value):
+        # Python's max(0.0, nan) is 0.0, which once passed shapley_equivalence
+        model = small_model(seed=7)
+        model.head_w2.data[0, 0, 0] = value
+        with np.errstate(invalid="ignore"):
+            checks = verify_axioms(model)
+        for name, check in checks.items():
+            assert not check.passed, name
+            assert math.isnan(check.max_deviation), name
 
     def test_no_windows_rejected(self):
         # used to fail inside NumPy's max reduction
@@ -378,7 +423,7 @@ class TestExports:
     def test_spectrum_csv(self, tmp_path):
         model = small_model(seed=9)
         path = tmp_path / "spectrum.csv"
-        export_spectrum_csv(path, model, known_periods_steps=[4.0], delta=0.2)
+        export_spectrum_csv(path, model, known_periods_steps=[4.0], delta=0.2, counts=[0] * model.config.N)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "basis_index,frequency,period_steps,selection_count,matched"
         assert len(lines) == 1 + model.config.N

@@ -61,7 +61,7 @@ class TestDiversityLoss:
     def test_unsorted_input_is_sorted_internally(self):
         a = diversity_loss(Tensor([0.3, 0.01, 0.07])).item()
         b = diversity_loss(Tensor([0.01, 0.07, 0.3])).item()
-        assert a == pytest.approx(b, rel=1e-15)
+        assert a == b
 
     def test_needs_two_frequencies(self):
         with pytest.raises(ValueError, match="two"):
@@ -70,6 +70,10 @@ class TestDiversityLoss:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
             diversity_loss(Tensor([0.1, -0.2]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="positive"):
+            diversity_loss(Tensor([0.1, float("nan")]))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
