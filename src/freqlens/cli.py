@@ -3,7 +3,8 @@
 Commands: synth, train, evaluate, compare, discover, attribute,
 faithfulness, verify-axioms.  Every command is a pure function of the
 config file, the input files, and the seed: identical inputs produce
-identical outputs.
+identical outputs.  Each command takes only the flags it reads, and no
+flag repeats a value that a config key sets.
 
 The config file is a flat JSON object; every key has a documented
 default (see CONFIG_REFERENCE) and unknown keys are hard errors so a
@@ -12,7 +13,7 @@ ModelConfig, TrainConfig, LossWeights or SplitSpec names that field and
 takes its default from it.
 
 Exit codes: 0 success, 1 usage or config error, 2 verification
-failure, 3 numeric failure.
+failure, 3 numeric failure.  Every failure prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -82,9 +83,8 @@ CONFIG_REFERENCE = {
     "hidden_width": _field(ModelConfig, "d", "hidden width d"),
     "num_bases": _field(ModelConfig, "N", "number of frequency bases N"),
     "top_k": _field(ModelConfig, "K", "selected frequencies K per sample"),
-    "freq_mode": _field(ModelConfig, "freq_mode", "'learnable' or 'fixed-prior'"),
     "prior_periods": _field(
-        ModelConfig, "prior_periods", "fixed-prior periods in steps (requires freq_mode='fixed-prior')"
+        ModelConfig, "prior_periods", "periods in steps of a fixed bank, one per basis (null: learnable bank)"
     ),
     "gumbel_tau_start": _field(TrainConfig, "tau_start", "training selection temperature at the first epoch"),
     "gumbel_tau_end": _field(TrainConfig, "tau_end", "training selection temperature at the final epoch"),
@@ -201,16 +201,22 @@ def _load_windows(cfg: RunConfig, *needed: str) -> dict[str, WindowSet]:
     return windows
 
 
-def _seed_list(cfg: RunConfig, args) -> list[int]:
-    if getattr(args, "seed", None) is not None:
-        return [args.seed]
-    return [int(s) for s in cfg.seeds]
-
-
 def _out_dir(cfg: RunConfig, args) -> Path:
-    out = Path(getattr(args, "out", None) or cfg.out_dir)
+    out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _load_model(cfg: RunConfig, path, channels: int) -> tuple[FreqLens, int | None]:
+    """Model and seed of checkpoint ``path``, whose (L, H, C) must match the configured data."""
+    model, seed = load_checkpoint(path)
+    shape = (model.config.L, model.config.H, model.config.C)
+    if shape != (cfg.input_length, cfg.horizon, channels):
+        raise ConfigError(
+            f"checkpoint {path} has shape (L={shape[0]}, H={shape[1]}, C={shape[2]}), but the configured "
+            f"data has (L={cfg.input_length}, H={cfg.horizon}, C={channels})"
+        )
+    return model, seed
 
 
 def _checkpoint_paths(run_dir: Path) -> list[Path]:
@@ -253,7 +259,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     windows = _load_windows(cfg, "train", "val")
     out = _out_dir(cfg, args)
     channels = windows["train"].inputs.shape[2]
-    for seed in _seed_list(cfg, args):
+    for seed in [args.seed] if args.seed is not None else [int(s) for s in cfg.seeds]:
         model = FreqLens(cfg.build(ModelConfig, C=channels, seed=seed))
         trained, log = train(
             model, windows["train"], windows["val"], cfg.build(TrainConfig, seed=seed), cfg.build(LossWeights)
@@ -272,16 +278,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     run_dir = Path(args.run)
     per_seed = {}
     for path in _checkpoint_paths(run_dir):
-        model, seed = load_checkpoint(path)
-        if (model.config.L, model.config.H, model.config.C) != (
-            cfg.input_length,
-            cfg.horizon,
-            dataset.inputs.shape[2],
-        ):
-            raise ConfigError(
-                f"{path.name}: checkpoint shape (L={model.config.L}, H={model.config.H}, "
-                f"C={model.config.C}) does not match the configured data"
-            )
+        model, seed = _load_model(cfg, path, dataset.inputs.shape[2])
         y_hat = np.concatenate([out.y_hat.data for out in model.forward_batches(dataset.inputs)])
         metrics = compute_metrics(y_hat, dataset.targets)
         per_seed[str(seed)] = {
@@ -296,7 +293,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_compare(cfg: RunConfig, args) -> int:
+def cmd_compare(args) -> int:
     def read_metrics(path):
         try:
             with open(path) as fh:
@@ -329,21 +326,20 @@ def cmd_compare(cfg: RunConfig, args) -> int:
 
 
 def cmd_discover(cfg: RunConfig, args) -> int:
-    windows = _load_windows(cfg, "test")
+    test_inputs = _load_windows(cfg, "test")["test"].inputs
     run_dir = Path(args.run)
-    delta = args.delta if args.delta is not None else cfg.delta
     known_steps = [p / cfg.step_duration for p in cfg.known_periods]
     if not known_steps:
         raise ConfigError("discover needs a nonempty 'known_periods' list (physical seconds)")
     seeded = []
     for path in _checkpoint_paths(run_dir):
-        model, seed = load_checkpoint(path)
+        model, seed = _load_model(cfg, path, test_inputs.shape[2])
         seeded.append((seed, model))
-    report = build_discovery_report(seeded, known_steps, delta=delta, test_inputs=windows["test"].inputs)
+    report = build_discovery_report(seeded, known_steps, delta=cfg.delta, test_inputs=test_inputs)
     out = _out_dir(cfg, args)
     _dump_json(out / "discovery.json", asdict(report))
     for (seed, model), found in zip(seeded, report.seeds):
-        export_spectrum_csv(out / f"spectrum-{seed}.csv", model, known_steps, delta, found.selection_counts)
+        export_spectrum_csv(out / f"spectrum-{seed}.csv", model, known_steps, cfg.delta, found.selection_counts)
     gates = alpha_report([m for _, m in seeded])
     _dump_json(out / "alpha.json", asdict(gates))
     for summary in report.summary:
@@ -363,7 +359,7 @@ def cmd_attribute(cfg: RunConfig, args) -> int:
         raise ConfigError(
             f"sample index {args.index} out of range for {dataset.inputs.shape[0]} {args.split} windows"
         )
-    model, seed = load_checkpoint(args.checkpoint)
+    model, seed = _load_model(cfg, args.checkpoint, dataset.inputs.shape[2])
     x = dataset.inputs[args.index : args.index + 1]
     out = model.forward(x, training=False)
     report = model.attribute(out)
@@ -393,10 +389,9 @@ def cmd_attribute(cfg: RunConfig, args) -> int:
 
 
 def cmd_faithfulness(cfg: RunConfig, args) -> int:
-    windows = _load_windows(cfg, "test")
-    model, seed = load_checkpoint(args.checkpoint)
-    k_list = [args.topk] if args.topk is not None else list(cfg.faithfulness_k)
-    results = faithfulness_test(model, windows["test"].inputs, k_list)
+    test_inputs = _load_windows(cfg, "test")["test"].inputs
+    model, seed = _load_model(cfg, args.checkpoint, test_inputs.shape[2])
+    results = faithfulness_test(model, test_inputs, list(cfg.faithfulness_k))
     payload = {"seed": seed, "results": [asdict(r) for r in results]}
     out_path = _out_dir(cfg, args) / "faithfulness.json"
     _dump_json(out_path, payload)
@@ -431,55 +426,63 @@ def cmd_verify_axioms(cfg: RunConfig, args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Parser whose usage errors surface as one ``error:`` line from ``main``, not a usage block."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One subcommand per command, each with only the flags that command reads."""
+    parser = _Parser(
         prog="freqlens",
         description="interpretable forecasting with learnable frequency bases",
         epilog=config_reference_text(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "config": dict(help="path to the flat JSON config"),
+        "out": dict(help="output directory (default: config out_dir)"),
+        "run": dict(required=True, help="run directory holding checkpoint-*.ckpt"),
+        "checkpoint": dict(required=True, help="path to a checkpoint file"),
+        "split": dict(default="test", choices=("train", "val", "test")),
+    }
 
-    def common(p, checkpoint=None, run=False):
-        p.add_argument("--config", default=None, help="path to the flat JSON config")
-        p.add_argument("--out", default=None, help="output directory (default: config out_dir)")
-        p.add_argument("--seed", type=int, default=None, help="single seed overriding the config list")
-        if checkpoint is not None:
-            p.add_argument("--checkpoint", required=checkpoint, default=None,
-                           help="path to a checkpoint file")
-        if run:
-            p.add_argument("--run", required=True, help="run directory holding checkpoint-*.ckpt")
+    def command(name, help_text, *flags):
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **shared[flag])
+        return p
 
-    common(sub.add_parser("synth", help="write a synthetic series as CSV"))
-    common(sub.add_parser("train", help="train one model per seed"))
+    command("synth", "write a synthetic series as CSV", "config", "out")
 
-    p = sub.add_parser("evaluate", help="metrics of each checkpoint on a split")
-    common(p, run=True)
-    p.add_argument("--split", default="test", choices=("train", "val", "test"))
+    p = command("train", "train one model per seed", "config", "out")
+    p.add_argument("--seed", type=int, help="single seed overriding the config list")
 
-    p = sub.add_parser("compare", help="paired t-test between two runs' per-seed metrics")
-    common(p)
+    command("evaluate", "metrics of each checkpoint on a split", "config", "run", "split")
+
+    p = command("compare", "paired t-test between two runs' per-seed metrics")
     p.add_argument("--a", required=True, help="metrics JSON of run A (from evaluate)")
     p.add_argument("--b", required=True, help="metrics JSON of run B")
     p.add_argument("--metric", default="mse", choices=("mse", "mae", "rmse"))
 
-    p = sub.add_parser("discover", help="match learned periods against known cycles")
-    common(p, run=True)
-    p.add_argument("--delta", type=float, default=None, help="match threshold (default: config delta)")
+    command("discover", "match learned periods against known cycles", "config", "out", "run")
 
-    p = sub.add_parser("attribute", help="export per-frequency attributions of one window")
-    common(p, checkpoint=True)
+    p = command("attribute", "export per-frequency attributions of one window", "config", "out", "checkpoint", "split")
     p.add_argument("--index", type=int, required=True, help="window index within the split")
-    p.add_argument("--split", default="test", choices=("train", "val", "test"))
 
-    p = sub.add_parser(
-        "faithfulness", help="perturbation test of attribution faithfulness on the first 64 test windows"
+    command(
+        "faithfulness",
+        "perturbation test of attribution faithfulness on the first 64 test windows",
+        "config", "out", "checkpoint",
     )
-    common(p, checkpoint=True)
-    p.add_argument("--topk", type=int, default=None, help="single removal size overriding the config list")
 
-    p = sub.add_parser("verify-axioms", help="check the attribution axioms and the Shapley oracle")
-    common(p, checkpoint=False)
+    p = command("verify-axioms", "check the attribution axioms and the Shapley oracle", "config")
+    p.add_argument("--seed", type=int, help="seed of the random model checked without --checkpoint "
+                   "(default: the first config seed)")
+    p.add_argument("--checkpoint", help="checkpoint to check instead of a random model")
 
     return parser
 
@@ -488,7 +491,6 @@ COMMANDS = {
     "synth": cmd_synth,
     "train": cmd_train,
     "evaluate": cmd_evaluate,
-    "compare": cmd_compare,
     "discover": cmd_discover,
     "attribute": cmd_attribute,
     "faithfulness": cmd_faithfulness,
@@ -497,14 +499,13 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        if args.command == "compare":  # the one command that reads no config
+            return cmd_compare(args)
+        return COMMANDS[args.command](load_config(args.config), args)
+    except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        cfg = load_config(args.config)
-        return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -389,6 +389,7 @@ class AxiomCheck:
     max_deviation: float
 
 
+@np.errstate(all="ignore")  # a non-finite model fails its checks without a warning
 def verify_axioms(model: FreqLens, inputs=None, tol: float = 1e-9) -> dict[str, AxiomCheck]:
     """Check the four attribution axioms plus Shapley equivalence.
 

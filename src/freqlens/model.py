@@ -67,8 +67,7 @@ class ModelConfig:
     d: int = 64
     N: int = 32
     K: int = 8
-    freq_mode: str = "learnable"  # or "fixed-prior"
-    prior_periods: tuple[float, ...] | None = None
+    prior_periods: tuple[float, ...] | None = None  # one period (steps) per basis pins the bank; None: learnable
     seed: int = 0
     force_alpha: float | None = None  # pin the fusion gate (1.0 = frequency path only)
 
@@ -79,17 +78,12 @@ class ModelConfig:
             raise ValueError("H, C and d must be positive")
         if not 1 <= self.K <= self.N:
             raise ValueError(f"need 1 <= K <= N, got K={self.K}, N={self.N}")
-        if self.freq_mode not in ("learnable", "fixed-prior"):
-            raise ValueError(f"unknown freq_mode {self.freq_mode!r}")
-        if self.freq_mode == "fixed-prior":
-            if not self.prior_periods:
-                raise ValueError("fixed-prior mode requires prior_periods")
+        if self.prior_periods is not None:
             self.prior_periods = tuple(float(p) for p in self.prior_periods)
             if len(self.prior_periods) != self.N:
-                raise ValueError(
-                    f"fixed-prior mode needs N == len(prior_periods); "
-                    f"got N={self.N}, {len(self.prior_periods)} periods"
-                )
+                raise ValueError(f"prior_periods needs one period per basis: N={self.N}, got {len(self.prior_periods)}")
+            if not all(p > 2.0 for p in self.prior_periods):
+                raise ValueError(f"prior periods must exceed 2 steps (Nyquist), got {list(self.prior_periods)}")
         if self.force_alpha is not None and not 0.0 <= self.force_alpha <= 1.0:
             raise ValueError("force_alpha must lie in [0, 1]")
 
@@ -105,8 +99,8 @@ class FrequencyBank:
     f_i = f_min + (f_max - f_min) * sigmoid(theta_i), with (f_min, f_max)
     from ``_frequency_range``.  The sigmoid keeps every frequency strictly
     inside (f_min, f_max) with nonzero gradient everywhere, unlike hard
-    clamping.  In fixed-prior mode theta/phase are untracked constants
-    and the frequencies equal 1/period exactly for the configured periods.
+    clamping.  A fixed-prior bank's theta/phase are untracked constants
+    and its frequencies equal 1/period exactly for the configured periods.
     """
 
     def __init__(self, theta: Tensor, phase: Tensor, L: int, fixed_freqs: np.ndarray | None = None):
@@ -127,17 +121,14 @@ class FrequencyBank:
 def init_frequency_bank(config: ModelConfig) -> FrequencyBank:
     """Build the bank with log-uniform targets (or fixed prior periods).
 
-    Learnable mode spreads N target frequencies log-uniformly over
-    [1/L, 0.5] and inverts the sigmoid mapping so the initial
-    frequencies reproduce the targets; phases start at 0.
+    Without ``prior_periods`` the bank is learnable: N target frequencies
+    spread log-uniformly over [1/L, 0.5], and the sigmoid mapping is
+    inverted so the initial frequencies reproduce them; phases start at 0.
     """
-    if config.freq_mode == "fixed-prior":
-        periods = np.asarray(config.prior_periods, dtype=np.float64)
-        if np.any(periods <= 2.0):
-            raise ValueError(f"prior periods must exceed 2 steps (Nyquist), got {periods.tolist()}")
+    if config.prior_periods is not None:
         theta = Tensor(np.zeros(config.N), requires_grad=False)
         phase = Tensor(np.zeros(config.N), requires_grad=False)
-        return FrequencyBank(theta, phase, config.L, fixed_freqs=1.0 / periods)
+        return FrequencyBank(theta, phase, config.L, fixed_freqs=1.0 / np.array(config.prior_periods))
 
     lo, hi = np.log(1.0 / config.L), np.log(0.5)
     if config.N == 1:
@@ -543,7 +534,7 @@ class FreqLens:
 # with fixed timestamps so identical models serialize to identical bytes
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 3
+_CHECKPOINT_VERSION = 4
 
 
 def save_checkpoint(model: FreqLens, path, seed: int | None = None) -> None:
@@ -585,10 +576,7 @@ def load_checkpoint(path) -> tuple[FreqLens, int | None]:
             missing = {"config", "arrays"} - set(manifest)
             if missing:
                 raise ValueError(f"manifest lacks {sorted(missing)}")
-            cfg_dict = dict(manifest["config"])
-            if cfg_dict.get("prior_periods") is not None:
-                cfg_dict["prior_periods"] = tuple(cfg_dict["prior_periods"])
-            model = FreqLens(ModelConfig(**cfg_dict))
+            model = FreqLens(ModelConfig(**manifest["config"]))
             stored = set(zf.namelist())
             state = {}
             for name in manifest["arrays"]:

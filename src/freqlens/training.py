@@ -71,6 +71,12 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        for name in ("tau_start", "tau_end"):
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("base_lr", "freq_lr_multiplier"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass
@@ -155,7 +161,7 @@ def total_loss(model: FreqLens, output: ForwardOutput, target: np.ndarray,
     built.  Returns the scalar loss and its components as plain floats.
     """
     pred = ad.square(output.y_hat - Tensor(np.asarray(target, dtype=np.float64))).mean()
-    if model.config.freq_mode == "fixed-prior":
+    if model.config.prior_periods is not None:
         reg = orthogonality_loss(output.coefficients.mean(axis=0))
     elif output.frequencies.size >= 2:
         reg = diversity_loss(output.frequencies, weights.epsilon_div)

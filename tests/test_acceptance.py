@@ -78,10 +78,7 @@ class Run:
 def train_two_cosine(seed: int, trend: float = 0.0, force_alpha=None, fixed_prior: bool = False) -> Run:
     windows = two_cosine_windows(seed, trend)
     if fixed_prior:
-        config = ModelConfig(
-            L=96, H=24, C=1, d=32, N=2, K=2, seed=seed,
-            freq_mode="fixed-prior", prior_periods=(24.0, 12.0),
-        )
+        config = ModelConfig(L=96, H=24, C=1, d=32, N=2, K=2, seed=seed, prior_periods=(24.0, 12.0))
     else:
         config = ModelConfig(L=96, H=24, C=1, d=32, N=16, K=4, seed=seed, force_alpha=force_alpha)
     model = FreqLens(config)

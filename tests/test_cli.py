@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import zipfile
@@ -91,7 +92,6 @@ class TestConfig:
             "hidden_width": (ModelConfig, "d", 22),
             "num_bases": (ModelConfig, "N", 23),
             "top_k": (ModelConfig, "K", 5),
-            "freq_mode": (ModelConfig, "freq_mode", "fixed-prior"),
             "prior_periods": (ModelConfig, "prior_periods", periods),
             "force_alpha": (ModelConfig, "force_alpha", 0.25),
             "gumbel_tau_start": (TrainConfig, "tau_start", 2.5),
@@ -211,6 +211,23 @@ class TestTrain:
         log1 = (tmp_path / "r1" / "trainlog-1.jsonl").read_bytes()
         log2 = (tmp_path / "r2" / "trainlog-1.jsonl").read_bytes()
         assert log1 == log2
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("gumbel_tau_start", 0.0), ("gumbel_tau_end", 0.0), ("base_lr", -1e-3), ("freq_lr_multiplier", -5.0)],
+    )
+    def test_bad_training_value_exits_before_any_epoch(self, workspace, tmp_path, monkeypatch, capsys, key, value):
+        epochs = []
+        real_schedules = training.schedules
+        monkeypatch.setattr(training, "schedules", lambda *a: epochs.append(a[0]) or real_schedules(*a))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(workspace["raw"], out_dir=str(tmp_path / "out"), **{key: value})))
+        capsys.readouterr()
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert epochs == []
+        assert list((tmp_path / "out").glob("*")) == []
 
     def test_seed_flag_overrides_list(self, workspace, tmp_path):
         cfg = dict(workspace["raw"], out_dir=str(tmp_path / "solo"))
@@ -367,11 +384,11 @@ class TestAttribute:
 
 
 class TestFaithfulness:
-    def test_correlation_reported_as_one(self, workspace):
+    def test_correlation_reported_as_one(self, workspace, tmp_path):
         ckpt = str(workspace["root"] / "run" / "checkpoint-2.ckpt")
-        assert main(
-            ["faithfulness", "--config", workspace["config"], "--checkpoint", ckpt, "--topk", "2"]
-        ) == 0
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(workspace["raw"], faithfulness_k=[2])))
+        assert main(["faithfulness", "--config", str(path), "--checkpoint", ckpt]) == 0
         payload = json.loads((workspace["root"] / "run" / "faithfulness.json").read_text())
         (result,) = payload["results"]
         assert result["k"] == 2
@@ -403,9 +420,65 @@ class TestVerifyAxioms:
         assert proc.stdout.count("PASS") == 5
 
 
+# each command's flags, and the arguments that satisfy its required ones
+COMMAND_FLAGS = {
+    "synth": ({"--config", "--out"}, []),
+    "train": ({"--config", "--out", "--seed"}, []),
+    "evaluate": ({"--config", "--run", "--split"}, ["--run", "r"]),
+    "compare": ({"--a", "--b", "--metric"}, ["--a", "a.json", "--b", "b.json"]),
+    "discover": ({"--config", "--out", "--run"}, ["--run", "r"]),
+    "attribute": ({"--config", "--out", "--checkpoint", "--index", "--split"}, ["--checkpoint", "c", "--index", "0"]),
+    "faithfulness": ({"--config", "--out", "--checkpoint"}, ["--checkpoint", "c"]),
+    "verify-axioms": ({"--config", "--seed", "--checkpoint"}, []),
+}
+
+# flags that earlier versions accepted and then ignored, or that repeated a config key
+REMOVED_FLAGS = [
+    ("synth", "--seed"),
+    ("evaluate", "--out"),
+    ("evaluate", "--seed"),
+    ("compare", "--config"),
+    ("compare", "--out"),
+    ("compare", "--seed"),
+    ("discover", "--seed"),
+    ("discover", "--delta"),
+    ("attribute", "--seed"),
+    ("faithfulness", "--seed"),
+    ("faithfulness", "--topk"),
+    ("verify-axioms", "--out"),
+]
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_help_lists_only_the_flags_the_command_reads(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        assert set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"} == COMMAND_FLAGS[command][0]
+
+    @pytest.mark.parametrize("command,flag", REMOVED_FLAGS, ids=[f"{c}{f}" for c, f in REMOVED_FLAGS])
+    def test_removed_flag_is_a_one_line_usage_error(self, command, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main([command, *COMMAND_FLAGS[command][1], flag, "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+        assert captured.err == f"error: freqlens: unrecognized arguments: {flag} 1\n"
+
+    def test_missing_required_flag_is_one_line(self, capsys):
+        assert main(["attribute", "--checkpoint", "c"]) == 1
+        assert capsys.readouterr().err == "error: freqlens attribute: the following arguments are required: --index\n"
+
+    def test_removed_freq_mode_key_is_a_one_line_usage_error(self, tmp_path, capsys):
+        # the periods alone select the fixed-prior bank
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"freq_mode": "fixed-prior"}))
+        capsys.readouterr()
+        assert main(["verify-axioms", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config keys: ['freq_mode']") and err.count("\n") == 1
 
     def test_missing_required_flag(self):
         assert main(["evaluate"]) == 1
@@ -454,6 +527,14 @@ def _non_finite_head_weight(tmp_path, monkeypatch, raw):
     return ["verify-axioms", "--checkpoint", str(tmp_path / "nan.ckpt")], raw
 
 
+def _infinite_head_weight(tmp_path, monkeypatch, raw):
+    # inf * 0 and inf - inf make NaNs inside the checks: they fail without a NumPy warning
+    model = FreqLens(ModelConfig(L=16, H=4, C=1, d=4, N=4, K=2))
+    model.head_w2.data[0, 0, 0] = np.inf
+    save_checkpoint(model, tmp_path / "inf.ckpt")
+    return ["verify-axioms", "--checkpoint", str(tmp_path / "inf.ckpt")], raw
+
+
 def _non_finite_loss(tmp_path, monkeypatch, raw):
     real = training.total_loss
 
@@ -488,13 +569,21 @@ class TestFailureExitCodes:
                 2,
                 "verification failure: completeness, faithfulness, null_frequency, symmetry, shapley_equivalence",
             ),
+            (
+                _infinite_head_weight,
+                2,
+                "verification failure: completeness, faithfulness, null_frequency, symmetry, shapley_equivalence",
+            ),
             (_non_finite_loss, 3, "numeric failure: non-finite loss at epoch 0, batch 0"),
             (_empty_val_split, 1, "error: the 'val' split is empty"),
             (_evaluate_empty_val_split, 1, "error: the 'val' split is empty"),
         ],
-        ids=["infinite_csv_cell", "biased_head", "non_finite_head_weight", "non_finite_loss", "empty_val_split", "evaluate_empty_val_split"],
+        ids=[
+            "infinite_csv_cell", "biased_head", "non_finite_head_weight", "infinite_head_weight",
+            "non_finite_loss", "empty_val_split", "evaluate_empty_val_split",
+        ],
     )
-    def test_exit_code_and_one_line(self, workspace, tmp_path, monkeypatch, capsys, forge, code, message):
+    def test_exit_code_and_one_line(self, workspace, tmp_path, monkeypatch, capsys, recwarn, forge, code, message):
         raw = dict(workspace["raw"], out_dir=str(tmp_path / "out"), seeds=[1])
         command, raw = forge(tmp_path, monkeypatch, raw)
         path = tmp_path / "c.json"
@@ -504,6 +593,26 @@ class TestFailureExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err, err
         assert "Traceback" not in err
+        # pytest records warnings instead of printing them; outside pytest each would add stderr lines
+        assert [str(w.message) for w in recwarn] == []
+
+    @pytest.mark.parametrize("field,value", [("input_length", 32), ("horizon", 12)], ids=["L", "H"])
+    @pytest.mark.parametrize("command", ["evaluate", "discover", "attribute", "faithfulness"])
+    def test_checkpoint_shape_mismatch_names_the_checkpoint(self, workspace, tmp_path, capsys, command, field, value):
+        ckpt = str(Path(workspace["run"]) / "checkpoint-1.ckpt")
+        args = {
+            "evaluate": ["--run", workspace["run"]],
+            "discover": ["--run", workspace["run"]],
+            "attribute": ["--checkpoint", ckpt, "--index", "0"],
+            "faithfulness": ["--checkpoint", ckpt],
+        }[command]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(workspace["raw"], out_dir=str(tmp_path / "out"), **{field: value})))
+        capsys.readouterr()
+        assert main([command, "--config", str(path), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {ckpt} has shape") and err.count("\n") == 1, err
+        assert list((tmp_path / "out").glob("*")) == []
 
 
 def _rewrite_checkpoint(src: Path, dst: Path, drop=(), replace=None) -> None:
@@ -548,6 +657,17 @@ def _version_1_manifest(tmp_path, good):
     return path
 
 
+def _version_3_manifest(tmp_path, good):
+    # version 3 stored freq_mode in the model config; prior_periods alone now selects the bank
+    path = tmp_path / "version-3.ckpt"
+    with zipfile.ZipFile(good) as zf:
+        manifest = json.loads(zf.read("manifest.json"))
+    manifest["format_version"] = 3
+    manifest["config"].update(freq_mode="learnable")
+    _rewrite_checkpoint(good, path, replace={"manifest.json": json.dumps(manifest).encode()})
+    return path
+
+
 def _version_2_manifest(tmp_path, good):
     # version 2 stored the two Gumbel temperatures in the model config
     path = tmp_path / "version-2.ckpt"
@@ -564,7 +684,10 @@ class TestCheckpointFailures:
 
     @pytest.mark.parametrize(
         "make_bad",
-        [_not_a_zip, _a_directory, _missing_array, _bad_manifest_json, _version_1_manifest, _version_2_manifest],
+        [
+            _not_a_zip, _a_directory, _missing_array, _bad_manifest_json,
+            _version_1_manifest, _version_2_manifest, _version_3_manifest,
+        ],
         ids=lambda f: f.__name__,
     )
     def test_bad_checkpoint_exits_1_without_traceback(self, tmp_path, make_bad):

@@ -110,7 +110,7 @@ class TestBankInit:
         np.testing.assert_array_equal(bank.phase.data, 0.0)
 
     def test_fixed_prior_exact(self):
-        cfg = ModelConfig(L=96, N=3, K=2, C=1, freq_mode="fixed-prior", prior_periods=(12, 24, 168))
+        cfg = ModelConfig(L=96, N=3, K=2, C=1, prior_periods=(12, 24, 168))
         bank = init_frequency_bank(cfg)
         np.testing.assert_array_equal(bank.frequencies().data, [1 / 12, 1 / 24, 1 / 168])
         assert not bank.theta.requires_grad
@@ -118,9 +118,18 @@ class TestBankInit:
 
     def test_fixed_prior_rejects_sub_nyquist_period(self):
         with pytest.raises(ValueError, match="Nyquist"):
-            init_frequency_bank(
-                ModelConfig(L=96, N=2, K=1, C=1, freq_mode="fixed-prior", prior_periods=(24, 2))
-            )
+            init_frequency_bank(ModelConfig(L=96, N=2, K=1, C=1, prior_periods=(24, 2)))
+
+    @pytest.mark.parametrize("periods", [(24.0,), (24.0, 12.0, 6.0)], ids=["too_few", "too_many"])
+    def test_prior_periods_need_one_period_per_basis(self, periods):
+        with pytest.raises(ValueError, match="one period per basis: N=2, got"):
+            ModelConfig(L=96, N=2, K=1, C=1, prior_periods=periods)
+
+    def test_prior_periods_become_a_float_tuple(self):
+        # the JSON list of a checkpoint manifest needs no conversion of its own
+        cfg = ModelConfig(L=96, N=2, K=1, C=1, prior_periods=[24, 12])
+        assert cfg.prior_periods == (24.0, 12.0)
+        assert type(cfg.prior_periods) is tuple and all(type(p) is float for p in cfg.prior_periods)
 
 
 class TestBases:
@@ -521,7 +530,7 @@ class TestEvalBasesReuse:
         assert bank_grads(evaluated) == bank_grads(FreqLens(cfg))
 
     def test_fixed_prior_mode(self):
-        cfg = ModelConfig(L=48, H=8, C=1, d=8, N=2, K=2, freq_mode="fixed-prior", prior_periods=(24, 12))
+        cfg = ModelConfig(L=48, H=8, C=1, d=8, N=2, K=2, prior_periods=(24, 12))
         model = FreqLens(cfg)
         x = random_inputs(cfg)
         first = model.forward(x)
@@ -717,17 +726,18 @@ class TestCheckpoint:
             manifest = json.loads(zf.read("manifest.json"))
             w1 = np.load(io.BytesIO(zf.read("arrays/heads.w1.npy")))
             w2 = np.load(io.BytesIO(zf.read("arrays/heads.w2.npy")))
-        assert manifest["format_version"] == 3
+        assert manifest["format_version"] == 4
         assert [n for n in manifest["arrays"] if n.startswith("heads.")] == ["heads.w1", "heads.w2"]
         assert w1.shape == (cfg.K, cfg.d, cfg.d)
         assert w2.shape == (cfg.K, cfg.d, cfg.H * cfg.C)
 
     def test_fixed_prior_roundtrip(self, tmp_path):
-        cfg = ModelConfig(L=96, H=8, C=1, d=8, N=2, K=2, freq_mode="fixed-prior", prior_periods=(24, 12))
+        cfg = ModelConfig(L=96, H=8, C=1, d=8, N=2, K=2, prior_periods=(24, 12))
         model = FreqLens(cfg)
         path = tmp_path / "prior.ckpt"
         save_checkpoint(model, path)
         loaded, _ = load_checkpoint(path)
+        assert loaded.config == cfg
         np.testing.assert_array_equal(loaded.bank.frequencies().data, [1 / 24, 1 / 12])
 
 

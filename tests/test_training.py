@@ -138,7 +138,7 @@ class TestTotalLoss:
         assert loss.item() == pytest.approx(expected, rel=1e-12)
 
     def test_fixed_prior_uses_orthogonality(self):
-        cfg = ModelConfig(L=8, H=4, C=1, d=4, N=2, K=2, freq_mode="fixed-prior", prior_periods=(4, 8))
+        cfg = ModelConfig(L=8, H=4, C=1, d=4, N=2, K=2, prior_periods=(4, 8))
         model = FreqLens(cfg)
         x = np.random.default_rng(6).normal(size=(2, 8, 1))
         out = model.forward(x)
@@ -333,6 +333,28 @@ class TestSchedules:
             schedules(5, 5, TrainConfig())
 
 
+class TestTrainConfigValidation:
+    """Values that would break training late or silently are rejected when the config is built."""
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("tau_start", 0.0, "tau_start must be positive"),
+            ("tau_start", -1.0, "tau_start must be positive"),
+            ("tau_end", 0.0, "tau_end must be positive"),
+            ("tau_end", math.nan, "tau_end must be positive"),
+            ("base_lr", -1e-3, "base_lr must be nonnegative"),
+            ("freq_lr_multiplier", -5.0, "freq_lr_multiplier must be nonnegative"),
+        ],
+    )
+    def test_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+
+    def test_zero_learning_rates_accepted(self):
+        assert TrainConfig(base_lr=0.0, freq_lr_multiplier=0.0).base_lr == 0.0
+
+
 class TestTrainLoop:
     def make_data(self, seed=0):
         windows = windows_from_synth([(24, 1.0, 0.0)], T=300, L=24, H=4, seed=seed)
@@ -411,7 +433,7 @@ class TestTrainLoop:
 
     def test_fixed_prior_frequencies_do_not_move(self):
         tr, va = self.make_data()
-        cfg = ModelConfig(L=24, H=4, C=1, d=8, N=2, K=2, freq_mode="fixed-prior", prior_periods=(24, 12))
+        cfg = ModelConfig(L=24, H=4, C=1, d=8, N=2, K=2, prior_periods=(24, 12))
         model = FreqLens(cfg)
         train(model, tr, va, TrainConfig(epochs=3, seed=7))
         np.testing.assert_array_equal(model.bank.frequencies().data, [1 / 24, 1 / 12])
@@ -419,7 +441,7 @@ class TestTrainLoop:
     @pytest.mark.parametrize(
         "overrides,frozen",
         [
-            (dict(N=2, K=2, freq_mode="fixed-prior", prior_periods=(24, 12)), ("bank.theta", "bank.phase")),
+            (dict(N=2, K=2, prior_periods=(24, 12)), ("bank.theta", "bank.phase")),
             (dict(force_alpha=0.3), ("fusion_logit",)),
         ],
         ids=["fixed_prior", "force_alpha"],
