@@ -246,15 +246,24 @@ def neg(a) -> Tensor:
 def matmul(a, b) -> Tensor:
     """Matrix product ``a @ b`` with NumPy batch broadcasting.
 
-    A length-1 contraction is the outer product ``a * b``, the same
-    values; NumPy runs ``@`` with inner size 1 without BLAS, slower
-    than the broadcast multiply.  The backward products take the same
-    shortcut: ``g @ b^T`` contracts over the output's last size and
-    ``a^T @ g`` over its second last, so the model's ``[N, L] @ [B, L, 1]``
-    projection, its reconstruction and the ``[1, M] @ [M, 1]`` Grams
-    run no length-1 ``@``.  The product is written in C order, the
-    layout ``@`` returns, so the batch sum in ``_unbroadcast`` adds the
-    same values in the same order.
+    A 2-D operand against a batched one is a weight shared by every
+    sample, and its gradient is one GEMM over the flattened batch:
+    ``[M, B·n] @ [B·n, K]`` for a 2-D ``a`` (the projection and
+    reconstruction bases) and ``a.reshape(-1, K).T @ g.reshape(-1, N)``
+    for a 2-D ``b`` (the input projection and the scorer weights).  This
+    sums over samples inside the GEMM, in BLAS's order, instead of
+    building one product per sample and summing those; the values agree
+    to rounding, and the same shapes always give the same bytes.
+
+    Every other operand gradient is the per-sample product, reduced by
+    ``_unbroadcast`` where its operand was broadcast.  There a length-1
+    contraction is the outer product ``a * b``, the same values; NumPy
+    runs ``@`` with inner size 1 without BLAS, slower than the broadcast
+    multiply.  The forward takes that shortcut, and so do the backward
+    products: ``g @ b^T`` contracts over the output's last size and
+    ``a^T @ g`` over its second last, so the ``[1, M] @ [M, 1]`` Grams
+    run no length-1 ``@``.  The product is written in C order, the layout
+    ``@`` returns, so a batch sum adds the same values in the same order.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
@@ -264,11 +273,19 @@ def matmul(a, b) -> Tensor:
     def backward_fn(g):
         ga = gb = None
         if a.requires_grad:
-            bt = np.swapaxes(b.data, -1, -2)
-            ga = _unbroadcast(np.multiply(g, bt, order="C") if g.shape[-1] == 1 else g @ bt, a.shape)
+            if a.ndim == 2 and b.ndim > 2:
+                m, k = a.shape
+                ga = np.moveaxis(g, -2, 0).reshape(m, -1) @ np.swapaxes(b.data, -1, -2).reshape(-1, k)
+            else:
+                bt = np.swapaxes(b.data, -1, -2)
+                ga = _unbroadcast(np.multiply(g, bt, order="C") if g.shape[-1] == 1 else g @ bt, a.shape)
         if b.requires_grad:
-            at = np.swapaxes(a.data, -1, -2)
-            gb = _unbroadcast(np.multiply(at, g, order="C") if g.shape[-2] == 1 else at @ g, b.shape)
+            if b.ndim == 2 and a.ndim > 2:
+                k, n = b.shape
+                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
+            else:
+                at = np.swapaxes(a.data, -1, -2)
+                gb = _unbroadcast(np.multiply(at, g, order="C") if g.shape[-2] == 1 else at @ g, b.shape)
         return ga, gb
 
     return _make(out_data, (a, b), backward_fn)
@@ -475,7 +492,12 @@ def gather_rows(x, index) -> Tensor:
 
     def backward_fn(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, (batch, idx), g)
+        ordered = np.sort(idx, axis=1)
+        if (ordered[:, 1:] != ordered[:, :-1]).all():
+            # distinct indices per row: one buffered ``+=`` adds 0.0 + g, as np.add.at does
+            gx[batch, idx] += g
+        else:
+            np.add.at(gx, (batch, idx), g)
         return (gx,)
 
     return _make(out_data, (x,), backward_fn)

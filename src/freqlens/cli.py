@@ -480,9 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = command("verify-axioms", "check the attribution axioms and the Shapley oracle", "config")
-    p.add_argument("--seed", type=int, help="seed of the random model checked without --checkpoint "
-                   "(default: the first config seed)")
-    p.add_argument("--checkpoint", help="checkpoint to check instead of a random model")
+    model_source = p.add_mutually_exclusive_group()
+    model_source.add_argument("--seed", type=int, help="seed of the random model checked without --checkpoint "
+                              "(default: the first config seed)")
+    model_source.add_argument("--checkpoint", help="checkpoint to check instead of a random model")
 
     return parser
 

@@ -128,6 +128,20 @@ class TestGatherRows:
         np.testing.assert_allclose(g[0, 1], [2.0, 2.0])
         np.testing.assert_allclose(g[0, 0], [0.0, 0.0])
 
+    def test_distinct_indices_scatter_equals_add_at_bytewise(self):
+        # the distinct-index path adds 0.0 + g as np.add.at does, so -0.0 becomes +0.0
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.normal(size=(5, 6, 3)), requires_grad=True)
+        idx = np.argsort(rng.normal(size=(5, 6)), axis=1)[:, :4]
+        out = ad.gather_rows(x, idx)
+        g = rng.normal(size=out.shape)
+        g[g < 0] = -0.0
+        assert np.signbit(g[g == 0]).any()
+        (gx,) = out._backward(g)
+        want = np.zeros_like(x.data)
+        np.add.at(want, (np.arange(5)[:, None], idx), g)
+        assert gx.tobytes() == want.tobytes()
+
 
 # every registered op, finite differences vs reverse mode
 ELEMENTWISE_CASES = [
@@ -194,26 +208,77 @@ class TestBinaryOpGradients:
         np.testing.assert_allclose(grads[a.node_id], fd[0], rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(grads[b.node_id], fd[1], rtol=1e-6, atol=1e-8)
 
-    # the model's length-1 backward contractions (projection, reconstruction,
-    # the [1, M] @ [M, 1] Grams) at the training batch of 32, and a C = 3
-    # control that runs ``@``
+    # the model's projection and reconstruction at C = 1 and the training
+    # batch of 32, the [1, M] @ [M, 1] Gram, and the projection at C = 3
     MODEL_SHAPES = [((4, 6), (32, 6, 1)), ((6, 4), (32, 4, 1)), ((1, 7), (7, 1)), ((4, 6), (32, 6, 3))]
 
-    @pytest.mark.parametrize("sa,sb", MODEL_SHAPES)
+    # shapes whose gradients keep the per-sample rule: the K heads' stacked
+    # weights, the residual's 2-D product, the [1, M] @ [M, 1] Gram, and a
+    # length-1 contraction with both operands broadcast
+    PER_SAMPLE_SHAPES = [((4, 32, 6), (4, 6, 5)), ((32, 6), (6, 5)), ((1, 7), (7, 1)), ((2, 1, 5, 1), (3, 1, 4))]
+
+    # a 2-D operand against a batched one, whose gradient is one GEMM over
+    # the flattened batch: the model's projection (C = 1 and 3) and
+    # reconstruction from MODEL_SHAPES, then its input projection and scorer
+    # layers, two leading batch dimensions, B = 1, and the ragged last batch
+    # of 37 windows
+    MORE_FOLDED_SHAPES = [
+        ((32, 4, 1), (1, 5)), ((32, 4, 5), (5, 3)), ((32, 4, 3), (3, 1)),
+        ((2, 3, 5, 4), (4, 6)), ((5, 4), (2, 3, 4, 6)),
+        ((1, 5, 4), (4, 6)), ((5, 4), (1, 4, 6)),
+        ((5, 6, 4), (4, 1)), ((6, 4), (5, 4, 3)),
+    ]
+    FOLDED_SHAPES = [MODEL_SHAPES[0], MODEL_SHAPES[1], MODEL_SHAPES[3]] + MORE_FOLDED_SHAPES
+
+    @staticmethod
+    def _backward_and_reference(a, b, g):
+        """The rule's gradients and the per-sample products reduced by ``_unbroadcast``."""
+        out = ad.matmul(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True))
+        got = out._backward(g)
+        want_a = ad._unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)
+        want_b = ad._unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+        return got, (want_a, want_b)
+
+    @staticmethod
+    def _out_gradients(rng, a, b):
+        g_c = rng.normal(size=(a @ b).shape)
+        return g_c, np.swapaxes(np.swapaxes(g_c, -1, -2).copy(), -1, -2)  # C order and not
+
+    @pytest.mark.parametrize("sa,sb", PER_SAMPLE_SHAPES)
     def test_matmul_backward_equals_matmul_products_bytewise(self, sa, sb):
         rng = np.random.default_rng(12)
-        a = Tensor(rng.normal(size=sa), requires_grad=True)
-        b = Tensor(rng.normal(size=sb), requires_grad=True)
-        out = ad.matmul(a, b)
-        g_c = rng.normal(size=out.shape)
-        for g in (g_c, np.swapaxes(np.swapaxes(g_c, -1, -2).copy(), -1, -2)):  # C order and not
-            ga, gb = out._backward(g)
-            want_a = ad._unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-            want_b = ad._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-            assert ga.shape == a.shape and ga.tobytes() == want_a.tobytes()
-            assert gb.shape == b.shape and gb.tobytes() == want_b.tobytes()
+        a, b = rng.normal(size=sa), rng.normal(size=sb)
+        for g in self._out_gradients(rng, a, b):
+            got, want = self._backward_and_reference(a, b, g)
+            for x, gx, wx in zip((a, b), got, want):
+                assert gx.shape == x.shape and gx.tobytes() == wx.tobytes()
 
-    @pytest.mark.parametrize("sa,sb", MODEL_SHAPES)
+    @pytest.mark.parametrize("sa,sb", FOLDED_SHAPES)
+    def test_folded_gradient_matches_per_sample_products(self, sa, sb):
+        # the folded GEMM sums in another order: equal to rounding, not in bytes;
+        # the batched operand keeps the per-sample rule, byte for byte
+        rng = np.random.default_rng(15)
+        a, b = rng.normal(size=sa), rng.normal(size=sb)
+        folded = 0 if len(sa) == 2 else 1
+        for g in self._out_gradients(rng, a, b):
+            got, want = self._backward_and_reference(a, b, g)
+            assert got[folded].shape == want[folded].shape
+            assert np.abs(got[folded] - want[folded]).max() <= 1e-13 * np.abs(want[folded]).max()
+            assert got[1 - folded].tobytes() == want[1 - folded].tobytes()
+
+    @pytest.mark.parametrize("sa,sb", FOLDED_SHAPES)
+    def test_folded_gradient_equals_per_sample_products_on_integers(self, sa, sb):
+        # integer-valued float64 products and sums are exact in any order
+        rng = np.random.default_rng(16)
+        a = rng.integers(-9, 10, size=sa).astype(np.float64)
+        b = rng.integers(-9, 10, size=sb).astype(np.float64)
+        g = rng.integers(-9, 10, size=(a @ b).shape).astype(np.float64)
+        got, want = self._backward_and_reference(a, b, g)
+        folded = 0 if len(sa) == 2 else 1
+        assert got[folded].shape == want[folded].shape
+        assert got[folded].tobytes() == want[folded].tobytes()
+
+    @pytest.mark.parametrize("sa,sb", MODEL_SHAPES + MORE_FOLDED_SHAPES)
     def test_matmul_model_shapes_pass_check_gradients(self, sa, sb):
         rng = np.random.default_rng(13)
         a = Tensor(rng.normal(size=sa))

@@ -471,6 +471,20 @@ class TestUsageErrors:
         assert main(["attribute", "--checkpoint", "c"]) == 1
         assert capsys.readouterr().err == "error: freqlens attribute: the following arguments are required: --index\n"
 
+    @pytest.mark.parametrize("order", ["seed_first", "checkpoint_first"])
+    def test_verify_axioms_seed_with_checkpoint_is_one_line(self, order, tmp_path, monkeypatch, capsys):
+        # --seed picks the random model that --checkpoint replaces, so giving both is an error
+        monkeypatch.chdir(tmp_path)
+        flags = [["--seed", "5"], ["--checkpoint", "c.ckpt"]]
+        first, second = flags if order == "seed_first" else flags[::-1]
+        capsys.readouterr()
+        assert main(["verify-axioms", *first, *second]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+        assert captured.err == (
+            f"error: freqlens verify-axioms: argument {second[0]}: not allowed with argument {first[0]}\n"
+        )
+
     def test_removed_freq_mode_key_is_a_one_line_usage_error(self, tmp_path, capsys):
         # the periods alone select the fixed-prior bank
         path = tmp_path / "c.json"

@@ -41,6 +41,19 @@ def windows_from_synth(components, T=400, L=48, H=8, seed=0, noise=0.05, trend=0
     return make_windows(normalized, L, H, split)
 
 
+def assert_loss_gradients_match_finite_differences(model, x, y):
+    def loss_of():
+        out = model.forward(x)
+        return total_loss(model, out, y, LossWeights())[0]
+
+    params = [p for _, p in model.parameters()]
+    grads = backward(loss_of())
+    numeric = finite_difference(lambda: loss_of().item(), params, eps=1e-6)
+    for (name, p), fd in zip(model.parameters(), numeric):
+        analytic = grads.get(p.node_id, np.zeros_like(p.data))
+        np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8, err_msg=name)
+
+
 class TestDiversityLoss:
     def test_direct_evaluation(self):
         loss = diversity_loss(Tensor([0.01, 0.1]), epsilon=1e-6)
@@ -165,17 +178,17 @@ class TestTotalLoss:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 8, 3))
         y = rng.normal(size=(2, 4, 3))
+        assert_loss_gradients_match_finite_differences(model, x, y)
 
-        def loss_of():
-            out = model.forward(x)
-            return total_loss(model, out, y, LossWeights())[0]
-
-        params = [p for _, p in model.parameters()]
-        grads = backward(loss_of())
-        numeric = finite_difference(lambda: loss_of().item(), params, eps=1e-6)
-        for (name, p), fd in zip(model.parameters(), numeric):
-            analytic = grads.get(p.node_id, np.zeros_like(p.data))
-            np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8, err_msg=name)
+    @pytest.mark.parametrize("batch,channels", [(1, 1), (5, 1), (1, 3), (5, 3)])
+    def test_gradients_match_finite_differences_at_edge_batches(self, batch, channels):
+        # B = 1, and B = 5 as in the last batch of 37 windows at batch size 32:
+        # the batch-folded weight gradients at their smallest and ragged shapes
+        model = tiny_model(C=channels, d=5, seed=5)
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(batch, 8, channels))
+        y = rng.normal(size=(batch, 4, channels))
+        assert_loss_gradients_match_finite_differences(model, x, y)
 
 
 class TestAdam:
