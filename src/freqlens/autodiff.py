@@ -4,8 +4,10 @@ A :class:`Tensor` wraps a NumPy array.  Every operation produces a fresh
 tensor; when any input participates in gradient tracking, the output
 records its parents and a backward rule.  Because outputs are always
 created after their inputs, monotonically increasing node ids double as a
-topological order of the implicit tape, and :func:`backward` replays it
-exactly once in reverse.
+topological order of the implicit tape.  :func:`backward` walks it once,
+largest id first, drops each node's gradient once its rule has passed it
+on, and returns only the gradients of leaves (tracked tensors with no
+backward rule).
 
 Design constraints:
   * float64 everywhere (the attribution exactness checks need it),
@@ -25,6 +27,7 @@ of sorting.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Callable, Sequence
 
@@ -508,41 +511,35 @@ def gather_rows(x, index) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> dict[int, np.ndarray]:
-    """Accumulate d(loss)/d(node) for every tracked node reachable from ``loss``.
+    """Accumulate d(loss)/d(leaf) for every tracked leaf reachable from ``loss``.
 
-    Returns a map from node id to gradient array, one entry per tracked
-    node the loss depends on.  Repeated use of a node sums the gradients
-    from all its consumers.
+    Returns a map from node id to gradient array, one entry per leaf (a
+    tracked tensor with no backward rule, such as a parameter) the loss
+    depends on.  Repeated use of a node sums the gradients from all its
+    consumers, in decreasing consumer id.
     """
     if loss.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         return {}
 
-    # untracked parents take no gradient, so the walk leaves them out
-    nodes: dict[int, Tensor] = {}
-    stack = [loss]
-    while stack:
-        t = stack.pop()
-        if t.node_id in nodes:
-            continue
-        nodes[t.node_id] = t
-        for parent in t._parents:
-            if parent.requires_grad:
-                stack.append(parent)
-
-    # creation order is a topological order: outputs are born after inputs
+    # a max-heap of node ids: outputs are born after their inputs, so the
+    # largest pending id has already received the share of every consumer
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    for node_id in sorted(nodes, reverse=True):
-        t = nodes[node_id]
-        g = grads.get(node_id)
-        if g is None or t._backward is None:
+    heap = [(-loss.node_id, loss)]
+    while heap:
+        _, t = heapq.heappop(heap)
+        if t._backward is None:
             continue
-        for parent, pg in zip(t._parents, t._backward(g)):
+        for parent, pg in zip(t._parents, t._backward(grads.pop(t.node_id))):
             if pg is None or not parent.requires_grad:
                 continue
             acc = grads.get(parent.node_id)
-            grads[parent.node_id] = pg if acc is None else acc + pg
+            if acc is None:
+                grads[parent.node_id] = pg
+                heapq.heappush(heap, (-parent.node_id, parent))
+            else:
+                grads[parent.node_id] = acc + pg
     return grads
 
 

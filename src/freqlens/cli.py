@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -219,6 +220,12 @@ def _load_model(cfg: RunConfig, path, channels: int) -> tuple[FreqLens, int | No
     return model, seed
 
 
+def _config_seeds(cfg: RunConfig) -> list[int]:
+    if not cfg.seeds:
+        raise ConfigError("config key 'seeds' must list at least one seed")
+    return [int(s) for s in cfg.seeds]
+
+
 def _checkpoint_paths(run_dir: Path) -> list[Path]:
     paths = sorted(run_dir.glob("checkpoint-*.ckpt"))
     if not paths:
@@ -256,10 +263,11 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
+    seeds = [args.seed] if args.seed is not None else _config_seeds(cfg)
     windows = _load_windows(cfg, "train", "val")
     out = _out_dir(cfg, args)
     channels = windows["train"].inputs.shape[2]
-    for seed in [args.seed] if args.seed is not None else [int(s) for s in cfg.seeds]:
+    for seed in seeds:
         model = FreqLens(cfg.build(ModelConfig, C=channels, seed=seed))
         trained, log = train(
             model, windows["train"], windows["val"], cfg.build(TrainConfig, seed=seed), cfg.build(LossWeights)
@@ -328,9 +336,12 @@ def cmd_compare(args) -> int:
 def cmd_discover(cfg: RunConfig, args) -> int:
     test_inputs = _load_windows(cfg, "test")["test"].inputs
     run_dir = Path(args.run)
-    known_steps = [p / cfg.step_duration for p in cfg.known_periods]
-    if not known_steps:
+    if not cfg.known_periods:
         raise ConfigError("discover needs a nonempty 'known_periods' list (physical seconds)")
+    for period in cfg.known_periods:
+        if not (isinstance(period, (int, float)) and 0 < period < math.inf):  # also rejects NaN
+            raise ConfigError(f"config key 'known_periods' needs positive periods in seconds, got {period!r}")
+    known_steps = [p / cfg.step_duration for p in cfg.known_periods]
     seeded = []
     for path in _checkpoint_paths(run_dir):
         model, seed = _load_model(cfg, path, test_inputs.shape[2])
@@ -408,7 +419,7 @@ def cmd_verify_axioms(cfg: RunConfig, args) -> int:
     if args.checkpoint is not None:
         model, _ = load_checkpoint(args.checkpoint)
     else:
-        seed = args.seed if args.seed is not None else int(cfg.seeds[0])
+        seed = args.seed if args.seed is not None else _config_seeds(cfg)[0]
         channels = 1 if cfg.dataset is None else _load_windows(cfg, "train")["train"].inputs.shape[2]
         model = FreqLens(cfg.build(ModelConfig, C=channels, seed=seed))
     checks = verify_axioms(model)

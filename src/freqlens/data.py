@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -47,6 +48,8 @@ class SeriesTable:
             raise ValueError(f"series values must be [T, C], got shape {self.values.shape}")
         if len(self.channel_names) != self.values.shape[1]:
             raise ValueError("channel_names length must match the channel count")
+        if not 0 < self.step_duration < math.inf:  # also rejects NaN
+            raise ValueError(f"step_duration must be a positive number of seconds, got {self.step_duration}")
 
     @property
     def n_steps(self) -> int:
@@ -77,15 +80,18 @@ class SplitSpec:
         if self.mode not in ("ratio", "months"):
             raise ValueError(f"unknown split mode {self.mode!r}")
         if self.mode == "ratio":
-            if min(self.train, self.val, self.test) < 0:
-                raise ValueError("split fractions must be nonnegative")
+            for name in ("train", "val", "test"):
+                if not getattr(self, name) >= 0:  # also rejects NaN
+                    raise ValueError(f"split fraction {name} must be nonnegative, got {getattr(self, name)}")
             total = self.train + self.val + self.test
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"split fractions must sum to 1, got {total}")
         else:
+            if len(self.months) != 3 or not all(
+                isinstance(m, numbers.Real) and m > 0 and float(m).is_integer() for m in self.months
+            ):
+                raise ValueError(f"months split needs three positive whole month counts, got {list(self.months)}")
             self.months = tuple(int(m) for m in self.months)
-            if len(self.months) != 3 or min(self.months) <= 0:
-                raise ValueError("months split needs three positive month counts")
 
     def bounds(self, n_steps: int, step_duration: float) -> dict[str, tuple[int, int]]:
         """Row ranges {split: (start, end)} covering [0, n_steps) in order."""

@@ -49,7 +49,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if value < 0:
+            if not value >= 0:  # also rejects NaN
                 raise ValueError(f"{name} must be nonnegative, got {value}")
 
 

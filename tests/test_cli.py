@@ -363,6 +363,42 @@ class TestDiscover:
         assert main(["discover", "--config", str(path), "--run", workspace["run"]]) == 1
 
 
+class TestBadConfigValues:
+    """A bad value fails where it is read: one ``error:`` line, exit 1, nothing written."""
+
+    @pytest.mark.parametrize(
+        "command,change,message",
+        [
+            ("discover", {"known_periods": [-86400]}, "config key 'known_periods' needs positive periods in seconds, got -86400"),
+            ("discover", {"known_periods": [0]}, "config key 'known_periods' needs positive periods in seconds, got 0"),
+            ("discover", {"known_periods": [86400, math.nan]}, "config key 'known_periods' needs positive periods in seconds, got nan"),
+            ("discover", {"step_duration": 0}, "step_duration must be a positive number of seconds, got 0.0"),
+            ("train", {"step_duration": 0, "split_mode": "months"}, "step_duration must be a positive number of seconds, got 0.0"),
+            ("synth", {"step_duration": -3600}, "step_duration must be a positive number of seconds, got -3600.0"),
+            ("verify-axioms", {"seeds": []}, "config key 'seeds' must list at least one seed"),
+            ("train", {"seeds": []}, "config key 'seeds' must list at least one seed"),
+            ("train", {"lambda_div": math.nan}, "lambda_div must be nonnegative, got nan"),
+            ("train", {"split_train": math.nan}, "split fraction train must be nonnegative, got nan"),
+            ("train", {"split_mode": "months", "split_months": [math.nan, 1, 1]}, "months split needs three positive whole month counts"),
+        ],
+        ids=[
+            "negative_known_period", "zero_known_period", "nan_known_period", "zero_step_duration",
+            "zero_step_duration_months", "negative_step_duration_synth", "no_seeds_verify_axioms", "no_seeds_train",
+            "nan_lambda_div", "nan_split_train", "nan_split_months",
+        ],
+    )
+    def test_one_line_exit_1(self, workspace, tmp_path, capsys, recwarn, command, change, message):
+        args = ["--run", workspace["run"]] if command == "discover" else []
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(workspace["raw"], out_dir=str(tmp_path / "out"), **change)))
+        capsys.readouterr()
+        assert main([command, "--config", str(path), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+        assert [str(w.message) for w in recwarn] == []
+        assert list((tmp_path / "out").glob("*")) == []
+
+
 class TestAttribute:
     def test_contributions_sum_to_frequency_prediction(self, workspace):
         ckpt = str(workspace["root"] / "run" / "checkpoint-1.ckpt")

@@ -1,5 +1,6 @@
 """Data pipeline tests: CSV ingestion, z-scoring, splits, windows, synthesis."""
 
+import math
 import re
 import warnings
 
@@ -23,6 +24,19 @@ def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+class TestSeriesTable:
+    @pytest.mark.parametrize("step", [0.0, -3600.0, math.nan, math.inf])
+    def test_step_duration_must_be_positive_and_finite(self, step):
+        with pytest.raises(ValueError, match="^step_duration must be a positive number of seconds"):
+            SeriesTable(np.zeros((3, 1)), step, ["a"])
+
+    def test_loaders_check_step_duration(self, tmp_path):
+        with pytest.raises(ValueError, match="^step_duration"):
+            load_csv(write(tmp_path, "a\n1\n2\n"), step_duration=0.0)
+        with pytest.raises(ValueError, match="^step_duration"):
+            synth_series([(24.0, 1.0, 0.0)], length=50, step_duration=0.0)
 
 
 class TestLoadCsv:
@@ -151,6 +165,27 @@ class TestSplits:
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
             SplitSpec(train=0.7, val=0.2, test=0.2)
+
+    @pytest.mark.parametrize("field", ["train", "val", "test"])
+    @pytest.mark.parametrize("value", [-0.1, math.nan], ids=["negative", "nan"])
+    def test_bad_fraction_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^split fraction {field} must be nonnegative"):
+            SplitSpec(**{field: value})
+
+    def test_infinite_fraction_fails_the_sum(self):
+        with pytest.raises(ValueError, match="sum to 1, got inf"):
+            SplitSpec(train=math.inf)
+
+    @pytest.mark.parametrize(
+        "months", [(12, 4), (12, 0, 4), (12, 4, math.nan), (12, 4, math.inf), (12.5, 4, 4)],
+        ids=["two", "zero", "nan", "inf", "fraction"],
+    )
+    def test_bad_month_counts_rejected(self, months):
+        with pytest.raises(ValueError, match="^months split needs three positive whole month counts"):
+            SplitSpec(mode="months", months=months)
+
+    def test_whole_float_month_counts_become_ints(self):
+        assert SplitSpec(mode="months", months=(12.0, 4, 4)).months == (12, 4, 4)
 
     def test_months_mode_maps_via_step_duration(self):
         spec = SplitSpec(mode="months", months=(12, 4, 4))

@@ -368,6 +368,17 @@ class TestTrainConfigValidation:
         assert TrainConfig(base_lr=0.0, freq_lr_multiplier=0.0).base_lr == 0.0
 
 
+class TestLossWeightsValidation:
+    @pytest.mark.parametrize("field", ["lambda_div", "lambda_recon", "epsilon_div"])
+    @pytest.mark.parametrize("value", [-1e-3, math.nan], ids=["negative", "nan"])
+    def test_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be nonnegative"):
+            LossWeights(**{field: value})
+
+    def test_zero_weights_accepted(self):
+        assert LossWeights(lambda_div=0.0, lambda_recon=0.0, epsilon_div=0.0).lambda_div == 0.0
+
+
 class TestTrainLoop:
     def make_data(self, seed=0):
         windows = windows_from_synth([(24, 1.0, 0.0)], T=300, L=24, H=4, seed=seed)
