@@ -19,7 +19,6 @@ from .model import (
     init_frequency_bank,
     load_checkpoint,
     project,
-    reconstruct,
     save_checkpoint,
 )
 from .training import (
@@ -30,6 +29,7 @@ from .training import (
     diversity_loss,
     evaluate_mse,
     orthogonality_loss,
+    reconstruction_loss,
     schedules,
     total_loss,
     train,

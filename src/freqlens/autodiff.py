@@ -19,10 +19,19 @@ Design constraints:
 
 Discrete boundary operations (random noise draws, top-k index extraction,
 sort permutations) are deliberately untracked: they enter the graph as
-constants.  There is no sort op: a sort is a constant ``np.argsort``
-permutation applied by indexing, whose backward rule scatters each
-gradient back to its source position, the almost-everywhere derivative
-of sorting.
+constants.  There is no sort op and no indexing op: the diversity
+barrier sorts by a constant ``np.argsort`` permutation inside its fused
+rule, which scatters each gradient back to its source position, the
+almost-everywhere derivative of sorting.
+
+A subgraph that every training step rebuilds is one fused node, built
+with :func:`node` from its value, its parents and one backward rule:
+``relu_mlp`` and ``softmax`` here, the bank's frequencies, the bases,
+the straight-through weight, the diversity barrier and the
+reconstruction term in ``model`` and ``training``.  Each rule performs
+the chain rule's NumPy operations in the order the op-by-op graph
+performed them, reusing ``matmul``'s rule through ``_matmul_grads``, so
+a fused node's gradients have the bytes of the graph it replaces.
 """
 
 from __future__ import annotations
@@ -35,21 +44,18 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "node",
     "backward",
     "add",
     "sub",
     "mul",
     "div",
-    "neg",
     "matmul",
+    "relu_mlp",
     "einsum",
     "square",
     "sqrt",
-    "exp",
-    "log",
-    "cos",
     "sigmoid",
-    "relu",
     "softmax",
     "reshape",
     "transpose",
@@ -120,14 +126,8 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __getitem__(self, index):
-        return _getitem(self, index)
 
     def reshape(self, *shape):
         return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
@@ -143,7 +143,15 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+def node(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """A tensor of value ``out_data`` computed from ``parents``.
+
+    When any parent is tracked, the output records the parents and
+    ``backward_fn``, which maps the output's gradient to one gradient
+    per parent (``None`` for a parent that takes none).  Every op below
+    is built this way, and so is a fused op: one node whose rule runs
+    the chain rule of a whole subgraph.
+    """
     out = Tensor(out_data)
     for p in parents:
         if p.requires_grad:
@@ -191,7 +199,7 @@ def add(a, b) -> Tensor:
             _unbroadcast(g, b.shape) if b.requires_grad else None,
         )
 
-    return _make(out_data, (a, b), backward_fn)
+    return node(out_data, (a, b), backward_fn)
 
 
 def sub(a, b) -> Tensor:
@@ -204,7 +212,7 @@ def sub(a, b) -> Tensor:
             _unbroadcast(-g, b.shape) if b.requires_grad else None,
         )
 
-    return _make(out_data, (a, b), backward_fn)
+    return node(out_data, (a, b), backward_fn)
 
 
 def mul(a, b) -> Tensor:
@@ -217,7 +225,7 @@ def mul(a, b) -> Tensor:
             _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
         )
 
-    return _make(out_data, (a, b), backward_fn)
+    return node(out_data, (a, b), backward_fn)
 
 
 def div(a, b) -> Tensor:
@@ -230,16 +238,7 @@ def div(a, b) -> Tensor:
             _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None,
         )
 
-    return _make(out_data, (a, b), backward_fn)
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward_fn(g):
-        return (-g,)
-
-    return _make(-a.data, (a,), backward_fn)
+    return node(out_data, (a, b), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -269,29 +268,67 @@ def matmul(a, b) -> Tensor:
     ``@`` returns, so a batch sum adds the same values in the same order.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul: shapes {a.shape} and {b.shape} are not conformable")
-    out_data = a.data * b.data if a.shape[-1] == 1 else a.data @ b.data
+    _check_conformable("matmul", a.shape, b.shape)
 
     def backward_fn(g):
-        ga = gb = None
-        if a.requires_grad:
-            if a.ndim == 2 and b.ndim > 2:
-                m, k = a.shape
-                ga = np.moveaxis(g, -2, 0).reshape(m, -1) @ np.swapaxes(b.data, -1, -2).reshape(-1, k)
-            else:
-                bt = np.swapaxes(b.data, -1, -2)
-                ga = _unbroadcast(np.multiply(g, bt, order="C") if g.shape[-1] == 1 else g @ bt, a.shape)
-        if b.requires_grad:
-            if b.ndim == 2 and a.ndim > 2:
-                k, n = b.shape
-                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
-            else:
-                at = np.swapaxes(a.data, -1, -2)
-                gb = _unbroadcast(np.multiply(at, g, order="C") if g.shape[-2] == 1 else at @ g, b.shape)
-        return ga, gb
+        return _matmul_grads(a.data, b.data, g, a.requires_grad, b.requires_grad)
 
-    return _make(out_data, (a, b), backward_fn)
+    return node(_matmul_value(a.data, b.data), (a, b), backward_fn)
+
+
+def _check_conformable(kind: str, a: tuple[int, ...], b: tuple[int, ...]) -> None:
+    if len(a) < 2 or len(b) < 2 or a[-1] != b[-2]:
+        raise ValueError(f"{kind}: shapes {a} and {b} are not conformable")
+
+
+def _matmul_value(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a * b if a.shape[-1] == 1 else a @ b
+
+
+def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray, need_a: bool, need_b: bool):
+    """Gradients of ``a @ b`` for upstream ``g``: the rule of ``matmul``, shared by fused ops."""
+    ga = gb = None
+    if need_a:
+        if a.ndim == 2 and b.ndim > 2:
+            m, k = a.shape
+            ga = np.moveaxis(g, -2, 0).reshape(m, -1) @ np.swapaxes(b, -1, -2).reshape(-1, k)
+        else:
+            bt = np.swapaxes(b, -1, -2)
+            ga = _unbroadcast(np.multiply(g, bt, order="C") if g.shape[-1] == 1 else g @ bt, a.shape)
+    if need_b:
+        if b.ndim == 2 and a.ndim > 2:
+            k, n = b.shape
+            gb = a.reshape(-1, k).T @ g.reshape(-1, n)
+        else:
+            at = np.swapaxes(a, -1, -2)
+            gb = _unbroadcast(np.multiply(at, g, order="C") if g.shape[-2] == 1 else at @ g, b.shape)
+    return ga, gb
+
+
+def relu_mlp(x, w1, w2) -> Tensor:
+    """Bias-free two-layer perceptron ``relu(x @ w1) @ w2`` as one node.
+
+    Both products and their gradients are ``matmul``'s, shortcuts and
+    batch-folded weight gradients included, and the rule runs them in
+    the order the three-node graph ran them, so values and gradients
+    keep their bytes.  The model's scorer, K heads and residual are
+    each one such node.
+    """
+    x, w1, w2 = _as_tensor(x), _as_tensor(w1), _as_tensor(w2)
+    _check_conformable("relu_mlp", x.shape, w1.shape)
+    pre = _matmul_value(x.data, w1.data)
+    h = np.maximum(pre, 0.0)
+    _check_conformable("relu_mlp", h.shape, w2.shape)
+    need_h = x.requires_grad or w1.requires_grad
+
+    def backward_fn(g):
+        gh, gw2 = _matmul_grads(h, w2.data, g, need_h, w2.requires_grad)
+        gx = gw1 = None
+        if need_h:
+            gx, gw1 = _matmul_grads(x.data, w1.data, gh * (pre > 0), x.requires_grad, w1.requires_grad)
+        return gx, gw1, gw2
+
+    return node(_matmul_value(h, w2.data), (x, w1, w2), backward_fn)
 
 
 def einsum(subscripts: str, a, b) -> Tensor:
@@ -316,7 +353,7 @@ def einsum(subscripts: str, a, b) -> Tensor:
         gb = np.einsum(f"{out_spec},{a_spec}->{b_spec}", g, a.data)
         return ga, gb
 
-    return _make(out_data, (a, b), backward_fn)
+    return node(out_data, (a, b), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +376,7 @@ def _sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def backward_fn(g):
         return (_expand_reduced(g, x.shape, axis, keepdims),)
 
-    return _make(out_data, (x,), backward_fn)
+    return node(out_data, (x,), backward_fn)
 
 
 def _mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -349,7 +386,7 @@ def _mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def backward_fn(g):
         return (_expand_reduced(g, x.shape, axis, keepdims) / count,)
 
-    return _make(out_data, (x,), backward_fn)
+    return node(out_data, (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +399,7 @@ def square(x) -> Tensor:
     def backward_fn(g):
         return (g * (2.0 * x.data),)
 
-    return _make(x.data * x.data, (x,), backward_fn)
+    return node(x.data * x.data, (x,), backward_fn)
 
 
 def sqrt(x) -> Tensor:
@@ -374,59 +411,24 @@ def sqrt(x) -> Tensor:
     def backward_fn(g):
         return (g * (0.5 / out_data),)
 
-    return _make(out_data, (x,), backward_fn)
+    return node(out_data, (x,), backward_fn)
 
 
-def exp(x) -> Tensor:
-    x = _as_tensor(x)
-    out_data = np.exp(x.data)
-
-    def backward_fn(g):
-        return (g * out_data,)
-
-    return _make(out_data, (x,), backward_fn)
-
-
-def log(x) -> Tensor:
-    x = _as_tensor(x)
-    if np.any(x.data <= 0):
-        raise ValueError("log: nonpositive input")
-    out_data = np.log(x.data)
-
-    def backward_fn(g):
-        return (g / x.data,)
-
-    return _make(out_data, (x,), backward_fn)
-
-
-def cos(x) -> Tensor:
-    x = _as_tensor(x)
-
-    def backward_fn(g):
-        return (-g * np.sin(x.data),)
-
-    return _make(np.cos(x.data), (x,), backward_fn)
+def _logistic(a: np.ndarray) -> np.ndarray:
+    """The value of ``sigmoid`` on a plain array, for fused ops that need it."""
+    # overflow-safe two-branch form; identical to 1/(1+exp(-a)) in value
+    z = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
-    # overflow-safe two-branch form; identical to 1/(1+exp(-x)) in value
-    z = np.exp(-np.abs(x.data))
-    out_data = np.where(x.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    out_data = _logistic(x.data)
 
     def backward_fn(g):
         return (g * out_data * (1.0 - out_data),)
 
-    return _make(out_data, (x,), backward_fn)
-
-
-def relu(x) -> Tensor:
-    x = _as_tensor(x)
-
-    def backward_fn(g):
-        return (g * (x.data > 0),)
-
-    return _make(np.maximum(x.data, 0.0), (x,), backward_fn)
+    return node(out_data, (x,), backward_fn)
 
 
 def clip(x, lo: float, hi: float) -> Tensor:
@@ -436,15 +438,26 @@ def clip(x, lo: float, hi: float) -> Tensor:
     def backward_fn(g):
         return (g * ((x.data >= lo) & (x.data <= hi)),)
 
-    return _make(np.clip(x.data, lo, hi), (x,), backward_fn)
+    return node(np.clip(x.data, lo, hi), (x,), backward_fn)
 
 
 def softmax(x, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``, shift-stabilized by the (constant) row max."""
+    """Softmax along ``axis``, shift-stabilized by the (constant) row max.
+
+    One node.  Its rule is the chain rule of ``e / e.sum(axis)`` with
+    ``e = exp(x - max)``, run in that graph's order: the quotient's two
+    shares of ``e``'s gradient are summed, then multiplied by ``e``.
+    """
     x = _as_tensor(x)
-    shifted = sub(x, Tensor(x.data.max(axis=axis, keepdims=True)))
-    e = exp(shifted)
-    return div(e, e.sum(axis=axis, keepdims=True))
+    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    total = e.sum(axis=axis, keepdims=True)
+
+    def backward_fn(g):
+        g_total = _unbroadcast(-g * e / (total * total), total.shape)
+        g_e = g / total + _expand_reduced(g_total, e.shape, axis, keepdims=True)
+        return (g_e * e,)
+
+    return node(e / total, (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +472,7 @@ def reshape(x, shape) -> Tensor:
     def backward_fn(g):
         return (g.reshape(x.shape),)
 
-    return _make(out_data, (x,), backward_fn)
+    return node(out_data, (x,), backward_fn)
 
 
 def transpose(x, axes: Sequence[int] | None = None) -> Tensor:
@@ -470,18 +483,7 @@ def transpose(x, axes: Sequence[int] | None = None) -> Tensor:
     def backward_fn(g):
         return (g.transpose(inv),)
 
-    return _make(out_data, (x,), backward_fn)
-
-
-def _getitem(x: Tensor, index) -> Tensor:
-    out_data = x.data[index]
-
-    def backward_fn(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, index, g)
-        return (gx,)
-
-    return _make(out_data, (x,), backward_fn)
+    return node(out_data, (x,), backward_fn)
 
 
 def gather_rows(x, index) -> Tensor:
@@ -503,7 +505,7 @@ def gather_rows(x, index) -> Tensor:
             np.add.at(gx, (batch, idx), g)
         return (gx,)
 
-    return _make(out_data, (x,), backward_fn)
+    return node(out_data, (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,20 @@ CONFIG_REFERENCE = {
 
 _NONEABLE = {"dataset": str, "columns": list, "prior_periods": list, "force_alpha": float}
 
+# what every element of a list-valued key must be; the command that reads
+# a list checks the element values (ranges, counts, duplicates)
+_LIST_ELEMENTS = {
+    "columns": "string",
+    "split_months": "number",
+    "synth_periods": "number",
+    "synth_amplitudes": "number",
+    "synth_phases": "number",
+    "prior_periods": "number",
+    "known_periods": "number",
+    "faithfulness_k": "whole number",
+    "seeds": "whole number",
+}
+
 
 @dataclass
 class RunConfig:
@@ -169,7 +183,25 @@ def _check_type(key, value, default):
         return float(value)
     if not isinstance(value, expected) or isinstance(value, bool) is not (expected is bool):
         raise ConfigError(f"config key {key!r} expects {expected.__name__}, got {value!r}")
-    return value
+    return _check_elements(key, value) if expected is list else value
+
+
+def _check_elements(key, values: list) -> list:
+    """``values`` with each element checked against its key's kind; whole numbers become ints."""
+    kind = _LIST_ELEMENTS[key]
+    checked = []
+    for i, v in enumerate(values):
+        if kind == "string":
+            ok = isinstance(v, str)
+        elif kind == "number":
+            ok = isinstance(v, (int, float)) and not isinstance(v, bool)
+        else:
+            ok = (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and v.is_integer())
+            v = int(v) if ok else v
+        if not ok:
+            raise ConfigError(f"config key {key!r} expects a list of {kind}s, got {v!r} at index {i}")
+        checked.append(v)
+    return checked
 
 
 def config_reference_text() -> str:
@@ -221,9 +253,17 @@ def _load_model(cfg: RunConfig, path, channels: int) -> tuple[FreqLens, int | No
 
 
 def _config_seeds(cfg: RunConfig) -> list[int]:
-    if not cfg.seeds:
+    """The config's seeds: at least one, each nonnegative and listed once (a seed names its files)."""
+    seeds = cfg.seeds
+    if not seeds:
         raise ConfigError("config key 'seeds' must list at least one seed")
-    return [int(s) for s in cfg.seeds]
+    negative = [s for s in seeds if s < 0]
+    if negative:
+        raise ConfigError(f"config key 'seeds' needs nonnegative seeds, got {negative[0]}")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"config key 'seeds' lists seed {repeated[0]} more than once")
+    return seeds
 
 
 def _checkpoint_paths(run_dir: Path) -> list[Path]:
@@ -243,6 +283,11 @@ def _dump_json(path: Path, payload) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(cfg: RunConfig, args) -> int:
+    for key in ("synth_periods", "synth_amplitudes", "synth_phases", "synth_trend_slope", "synth_noise_std"):
+        value = cfg.values[key]
+        bad = [v for v in (value if isinstance(value, list) else [value]) if not math.isfinite(v)]
+        if bad:  # NaN or inf would write a non-finite series
+            raise ConfigError(f"config key {key!r} needs finite numbers, got {bad[0]!r}")
     periods = cfg.synth_periods
     amplitudes = cfg.synth_amplitudes or [1.0] * len(periods)
     phases = cfg.synth_phases or [0.0] * len(periods)
@@ -338,8 +383,10 @@ def cmd_discover(cfg: RunConfig, args) -> int:
     run_dir = Path(args.run)
     if not cfg.known_periods:
         raise ConfigError("discover needs a nonempty 'known_periods' list (physical seconds)")
+    if not 0 < cfg.delta < 1:  # also rejects NaN
+        raise ConfigError(f"config key 'delta' must lie strictly between 0 and 1, got {cfg.delta!r}")
     for period in cfg.known_periods:
-        if not (isinstance(period, (int, float)) and 0 < period < math.inf):  # also rejects NaN
+        if not 0 < period < math.inf:  # also rejects NaN
             raise ConfigError(f"config key 'known_periods' needs positive periods in seconds, got {period!r}")
     known_steps = [p / cfg.step_duration for p in cfg.known_periods]
     seeded = []

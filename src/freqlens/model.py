@@ -45,8 +45,8 @@ __all__ = [
     "init_frequency_bank",
     "build_bases",
     "project",
-    "reconstruct",
     "apply_heads",
+    "straight_through",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -110,12 +110,26 @@ class FrequencyBank:
         self.fixed_freqs = fixed_freqs
 
     def frequencies(self) -> Tensor:
+        """The bank's frequencies [N], one node over ``theta``.
+
+        The sigmoid is clamped away from {0, 1}, so the mapped frequency
+        stays strictly inside (f_min, f_max) even when float64
+        saturates; a clamped entry passes no gradient.  The rule runs
+        the chain rule of sigmoid -> clip -> scale -> shift in that
+        order, so the gradient is the four-op graph's, byte for byte.
+        """
         if self.fixed_freqs is not None:
             return Tensor(self.fixed_freqs)
-        # clamp the sigmoid away from {0, 1} so the mapped frequency stays
-        # strictly inside (f_min, f_max) even when float64 saturates
-        gate = ad.clip(ad.sigmoid(self.theta), 1e-15, np.nextafter(1.0, 0.0))
-        return self.f_min + (self.f_max - self.f_min) * gate
+        lo, hi = 1e-15, np.nextafter(1.0, 0.0)
+        scale = self.f_max - self.f_min
+        gate = ad._logistic(self.theta.data)
+        inside = (gate >= lo) & (gate <= hi)
+
+        def backward_fn(g):
+            g_gate = g * scale * inside
+            return (g_gate * gate * (1.0 - gate),)
+
+        return ad.node(np.clip(gate, lo, hi) * scale + self.f_min, (self.theta,), backward_fn)
 
 
 def init_frequency_bank(config: ModelConfig) -> FrequencyBank:
@@ -148,19 +162,41 @@ def build_bases(freqs: Tensor, phases: Tensor, L: int) -> Tensor:
 
     psi_i(t) = cos(2 pi f_i t + phi_i).  Near-zero rows (only possible
     for pathological phases) are floored at 1e-8 with a diagnostic
-    instead of dividing by ~0.  Evaluation passes reuse the bases while
-    the bank is unchanged, so the diagnostic fires once per bank state
-    there, not once per forward.
+    instead of dividing by ~0, and a floored norm passes no gradient.
+    Evaluation passes reuse the bases while the bank is unchanged, so
+    the diagnostic fires once per bank state there, not once per
+    forward.
+
+    One node over ``freqs`` and ``phases``.  Its rule runs the chain
+    rule of angle -> cos -> norm -> divide in the order the op-by-op
+    graph ran it: the quotient's share of ``d psi`` first, then the
+    norm's, so the gradients are that graph's, byte for byte.
     """
     n = freqs.size
-    t = Tensor(np.arange(L, dtype=np.float64))
-    angle = freqs.reshape((n, 1)) * t * (2.0 * np.pi) + phases.reshape((n, 1))
-    psi = ad.cos(angle)
-    norms = ad.sqrt(ad.square(psi).sum(axis=1, keepdims=True))
-    if np.any(norms.data < 1e-8):
+    t = np.arange(L, dtype=np.float64)
+    angle = freqs.data.reshape((n, 1)) * t * (2.0 * np.pi) + phases.data.reshape((n, 1))
+    psi = np.cos(angle)
+    roots = np.sqrt((psi * psi).sum(axis=1, keepdims=True))
+    norms, kept = roots, None
+    if np.any(roots < 1e-8):
         warnings.warn("near-zero cosine basis row; flooring its norm at 1e-8")
-        norms = ad.clip(norms, 1e-8, np.inf)
-    return psi / norms
+        norms, kept = np.clip(roots, 1e-8, np.inf), (roots >= 1e-8) & (roots <= np.inf)
+
+    def backward_fn(g):
+        g_norms = (-g * psi / (norms * norms)).sum(axis=1, keepdims=True)
+        if kept is not None:
+            g_norms = g_norms * kept
+        g_roots = g_norms * (0.5 / roots)
+        g_psi = g / norms + np.broadcast_to(g_roots, psi.shape) * (2.0 * psi)
+        g_angle = -g_psi * np.sin(angle)
+        g_freqs = g_phases = None
+        if freqs.requires_grad:
+            g_freqs = (g_angle * (2.0 * np.pi) * t).sum(axis=1, keepdims=True).reshape(freqs.shape)
+        if phases.requires_grad:
+            g_phases = g_angle.sum(axis=1, keepdims=True).reshape(phases.shape)
+        return g_freqs, g_phases
+
+    return ad.node(psi / norms, (freqs, phases), backward_fn)
 
 
 def project(x: Tensor, psi_bar: Tensor) -> Tensor:
@@ -172,15 +208,6 @@ def project(x: Tensor, psi_bar: Tensor) -> Tensor:
     the raw input window and maps the result to the hidden width after.
     """
     return ad.matmul(psi_bar, x)
-
-
-def reconstruct(c: Tensor, psi_bar: Tensor) -> Tensor:
-    """Signal rebuilt from its coefficients: sum_i c_i * psi_bar_i.
-
-    ``psi_bar.T [L, N] @ c [B, N, C] -> [B, L, C]``.  Only the training
-    loss reads it, so evaluation passes never build it.
-    """
-    return ad.matmul(ad.transpose(psi_bar), c)
 
 
 @dataclass
@@ -248,9 +275,32 @@ def apply_heads(c_sel: Tensor, w1: Tensor, w2: Tensor, out_shape: tuple[int, int
     one matmul pair batched over a leading K axis.
     """
     b, k, _ = c_sel.shape
-    h = ad.relu(ad.matmul(ad.transpose(c_sel, (1, 0, 2)), w1))  # [K, B, d]
-    out = ad.matmul(h, w2)  # [K, B, H*C]
+    out = ad.relu_mlp(ad.transpose(c_sel, (1, 0, 2)), w1, w2)  # [K, B, H*C]
     return ad.transpose(out, (1, 0, 2)).reshape((b, k, *out_shape))
+
+
+def straight_through(contributions: Tensor, w_sel: Tensor) -> Tensor:
+    """``contributions * (w_sel - w_sel.detach() + 1)`` as one node.
+
+    The weight's forward value is exactly 1, so the value is exactly
+    ``contributions`` for finite weights, and the prediction-loss
+    gradient still reaches the selection weights ``w_sel`` [B, K]
+    through the product.  The rule is the six-op graph's, in its order.
+    """
+    b, k = w_sel.shape
+    ones = ((w_sel.data - w_sel.data) + 1.0).reshape((b, k, 1, 1))
+    summed = tuple(i for i in (2, 3) if contributions.shape[i] != 1)  # the H and C axes
+
+    def backward_fn(g):
+        g_w = g * contributions.data
+        if summed:
+            g_w = g_w.sum(axis=summed, keepdims=True)
+        return (
+            g * ones if contributions.requires_grad else None,
+            g_w.reshape((b, k)) if w_sel.requires_grad else None,
+        )
+
+    return ad.node(contributions.data * ones, (contributions, w_sel), backward_fn)
 
 
 class FreqLens:
@@ -383,8 +433,8 @@ class FreqLens:
         tempered softmax [B, N] for the straight-through weights.
         """
         cfg = self.config
-        h = ad.relu(ad.matmul(coefficients, self.scorer_w1))
-        scores = ad.matmul(h, self.scorer_w2).reshape((coefficients.shape[0], cfg.N)) + self.scorer_bias
+        scores = ad.relu_mlp(coefficients, self.scorer_w1, self.scorer_w2)
+        scores = scores.reshape((coefficients.shape[0], cfg.N)) + self.scorer_bias
         weights = None
         if training:
             if tau is None or rng is None:
@@ -403,8 +453,7 @@ class FreqLens:
     def _residual(self, x: Tensor) -> Tensor:
         cfg = self.config
         flat = x.reshape((x.shape[0], cfg.L * cfg.C))
-        h = ad.relu(ad.matmul(flat, self.residual_w1))
-        return ad.matmul(h, self.residual_w2).reshape((x.shape[0], cfg.H, cfg.C))
+        return ad.relu_mlp(flat, self.residual_w1, self.residual_w2).reshape((x.shape[0], cfg.H, cfg.C))
 
     def gate(self) -> Tensor:
         """Fusion weight alpha: sigmoid(fusion_logit), or the pinned ``force_alpha``."""
@@ -427,16 +476,13 @@ class FreqLens:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] != cfg.L or x.shape[2] != cfg.C:
             raise ValueError(f"forward: expected input [B, {cfg.L}, {cfg.C}], got {x.shape}")
-        b = x.shape[0]
 
         xt = Tensor(x)
         freqs, psi_bar, xc, c = self._encode(xt, training)
         selected, weights = self.score_and_select(c, training, tau, rng)
         contributions = self.head_contribution(ad.gather_rows(c, selected))
         if training:
-            w_sel = ad.gather_rows(weights, selected)
-            st = w_sel - w_sel.detach() + 1.0  # forward value is exactly 1
-            contributions = contributions * st.reshape((b, cfg.K, 1, 1))
+            contributions = straight_through(contributions, ad.gather_rows(weights, selected))
         y_freq = contributions.sum(axis=1)
 
         y_res = self._residual(xt)

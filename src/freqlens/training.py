@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .atomic import atomic_write
 from .autodiff import Tensor, backward
-from .model import ForwardOutput, FreqLens, reconstruct
+from .model import ForwardOutput, FreqLens
 from .stats import compute_metrics
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "TrainLog",
     "diversity_loss",
     "orthogonality_loss",
+    "reconstruction_loss",
     "total_loss",
     "Adam",
     "schedules",
@@ -119,17 +120,35 @@ def diversity_loss(freqs: Tensor, epsilon: float = 1e-6) -> Tensor:
     barrier of -ln(eps).  The log frequencies are sorted by a constant
     ``np.argsort`` permutation; NaN or nonpositive frequencies raise
     ``ValueError``.
+
+    One node over ``freqs``.  Its rule is the chain rule of the op-by-op
+    graph (log, sort, consecutive differences, shift, log, mean,
+    negate) in that graph's order: each gap's gradient is scattered to
+    its upper and lower log frequency, and the sum is scattered back
+    through the permutation with ``+=``, so the gradient keeps the
+    graph's bytes.
     """
     if freqs.size < 2:
         raise ValueError("diversity loss needs at least two frequencies")
-    if not np.all(freqs.data > 0):  # also rejects NaN
+    f = freqs.data
+    if not np.all(f > 0):  # also rejects NaN
         raise ValueError("diversity loss needs positive frequencies")
-    logs = ad.log(freqs)[np.argsort(freqs.data, kind="stable")]
-    gaps = logs[1:] - logs[:-1]
-    shifted = gaps + epsilon
-    if np.any(shifted.data <= 0):
+    order = np.argsort(f, kind="stable")
+    logs = np.log(f)[order]
+    shifted = (logs[1:] - logs[:-1]) + epsilon
+    if np.any(shifted <= 0):
         raise ValueError("nonpositive gap after epsilon shift")
-    return -ad.log(shifted).mean()
+
+    def backward_fn(g):
+        g_gaps = np.broadcast_to(-g, shifted.shape) / shifted.size / shifted
+        lower, upper = np.zeros_like(logs), np.zeros_like(logs)
+        lower[:-1] += -g_gaps
+        upper[1:] += g_gaps
+        g_f = np.zeros_like(f)
+        g_f[order] += lower + upper
+        return (g_f / f,)
+
+    return ad.node(-np.log(shifted).mean(), (freqs,), backward_fn)
 
 
 def orthogonality_loss(features: Tensor) -> Tensor:
@@ -152,13 +171,13 @@ def total_loss(model: FreqLens, output: ForwardOutput, target: np.ndarray,
     ``output`` is a forward pass of ``model``.  A fixed-prior model
     replaces the frequency-gap barrier with the orthogonality penalty on
     batch-averaged per-frequency coefficients.  The reconstruction term
-    is the mean squared error of ``reconstruct(coefficients, bases)``
+    is the mean squared error of the rebuilt ``bases^T coefficients``
     against the hidden features ``h = x W`` (``W`` the model's input
     projection, ``d`` wide).  Both are ``r W`` apart, with
-    ``r = reconstruct(input_coefficients, bases) - x`` the input-space
-    residual, so with ``r`` flattened to ``[B*L, C]`` the term is
-    ``sum((r^T r) * (W W^T)) / (B*L*d)``: nothing ``[B, L, d]`` is
-    built.  Returns the scalar loss and its components as plain floats.
+    ``r = bases^T input_coefficients - x`` the input-space residual, so
+    with ``r`` flattened to ``[B*L, C]`` the term is
+    ``sum((r^T r) * (W W^T)) / (B*L*d)`` (``reconstruction_loss``):
+    nothing ``[B, L, d]`` is built.  Returns the scalar loss and its components as plain floats.
     """
     pred = ad.square(output.y_hat - Tensor(np.asarray(target, dtype=np.float64))).mean()
     if model.config.prior_periods is not None:
@@ -167,12 +186,7 @@ def total_loss(model: FreqLens, output: ForwardOutput, target: np.ndarray,
         reg = diversity_loss(output.frequencies, weights.epsilon_div)
     else:
         reg = Tensor(0.0)  # a single frequency has no gaps to keep apart
-    w = model.input_proj
-    channels, width = w.shape
-    r = (reconstruct(output.input_coefficients, output.bases) - output.inputs).reshape((-1, channels))
-    gram_r = ad.matmul(ad.transpose(r), r)  # [C, C]
-    gram_w = ad.matmul(w, ad.transpose(w))  # [C, C]
-    recon = (gram_r * gram_w).sum() / (r.shape[0] * width)
+    recon = reconstruction_loss(output.input_coefficients, output.bases, output.inputs, model.input_proj)
     total = pred + weights.lambda_div * reg + weights.lambda_recon * recon
     components = {
         "pred": float(pred.data),
@@ -181,6 +195,42 @@ def total_loss(model: FreqLens, output: ForwardOutput, target: np.ndarray,
         "total": float(total.data),
     }
     return total, components
+
+
+def reconstruction_loss(xc: Tensor, psi_bar: Tensor, x: Tensor, w: Tensor) -> Tensor:
+    """Hidden-space reconstruction error ``sum((r^T r) * (W W^T)) / (B*L*d)``, one node.
+
+    ``r = psi_bar^T xc - x`` is the input-space residual of the window
+    ``x`` [B, L, C] rebuilt from its coefficients ``xc`` [B, N, C] on
+    the bases ``psi_bar`` [N, L], flattened to [B*L, C]; ``W`` [C, d] is
+    the input projection.  The rule runs the chain rule of the op-by-op
+    graph (rebuild, subtract, two Gram products, product, sum, divide)
+    with ``matmul``'s own gradient rules, in that graph's order, so the
+    gradients of ``xc``, ``psi_bar`` and ``W`` keep its bytes.  ``x`` is
+    an input and takes no gradient.
+    """
+    channels, width = w.shape
+    psi_t = psi_bar.data.T
+    r = (ad._matmul_value(psi_t, xc.data) - x.data).reshape((-1, channels))
+    gram_r = ad._matmul_value(r.T, r)  # [C, C]
+    gram_w = ad._matmul_value(w.data, w.data.T)  # [C, C]
+    count = float(r.shape[0] * width)
+    tracked_r = xc.requires_grad or psi_bar.requires_grad
+
+    def backward_fn(g):
+        g_prod = np.broadcast_to(g / count, gram_r.shape)
+        g_xc = g_psi = g_w = None
+        if w.requires_grad:
+            g_w, g_wt = ad._matmul_grads(w.data, w.data.T, g_prod * gram_r, True, True)
+            g_w = g_w + g_wt.T
+        if tracked_r:
+            g_rt, g_r = ad._matmul_grads(r.T, r, g_prod * gram_w, True, True)
+            g_rec = (g_r + g_rt.T).reshape(x.shape)
+            g_psi_t, g_xc = ad._matmul_grads(psi_t, xc.data, g_rec, psi_bar.requires_grad, xc.requires_grad)
+            g_psi = None if g_psi_t is None else g_psi_t.T
+        return g_xc, g_psi, None, g_w
+
+    return ad.node((gram_r * gram_w).sum() / count, (xc, psi_bar, x, w), backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from freqlens.cli import (
     CONFIG_REFERENCE,
     ConfigError,
     RunConfig,
+    _LIST_ELEMENTS,
+    _NONEABLE,
     _load_windows,
     load_config,
     main,
@@ -183,6 +185,24 @@ class TestSynth:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
         assert main(["synth", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "key,value,bad",
+        [
+            ("synth_periods", [math.nan, 12.0], "nan"),
+            ("synth_amplitudes", [1.0, math.inf], "inf"),
+            ("synth_phases", [-math.inf, 0.0], "-inf"),
+            ("synth_trend_slope", math.nan, "nan"),
+            ("synth_noise_std", math.inf, "inf"),
+        ],
+    )
+    def test_non_finite_synth_value_is_one_line(self, tmp_path, capsys, key, value, bad):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({key: value, "out_dir": str(tmp_path / "out")}))
+        capsys.readouterr()
+        assert main(["synth", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: config key {key!r} needs finite numbers, got {bad}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrain:
@@ -380,11 +400,22 @@ class TestBadConfigValues:
             ("train", {"lambda_div": math.nan}, "lambda_div must be nonnegative, got nan"),
             ("train", {"split_train": math.nan}, "split fraction train must be nonnegative, got nan"),
             ("train", {"split_mode": "months", "split_months": [math.nan, 1, 1]}, "months split needs three positive whole month counts"),
+            ("train", {"seeds": [1.5]}, "config key 'seeds' expects a list of whole numbers, got 1.5 at index 0"),
+            ("train", {"seeds": [1.5, 1.5]}, "config key 'seeds' expects a list of whole numbers, got 1.5 at index 0"),
+            ("train", {"seeds": [3, 4, 3]}, "config key 'seeds' lists seed 3 more than once"),
+            ("verify-axioms", {"seeds": [3, 3]}, "config key 'seeds' lists seed 3 more than once"),
+            ("train", {"seeds": [2, -1]}, "config key 'seeds' needs nonnegative seeds, got -1"),
+            ("discover", {"delta": -1}, "config key 'delta' must lie strictly between 0 and 1, got -1.0"),
+            ("discover", {"delta": 0}, "config key 'delta' must lie strictly between 0 and 1, got 0.0"),
+            ("discover", {"delta": 1.0}, "config key 'delta' must lie strictly between 0 and 1, got 1.0"),
+            ("discover", {"delta": math.nan}, "config key 'delta' must lie strictly between 0 and 1, got nan"),
         ],
         ids=[
             "negative_known_period", "zero_known_period", "nan_known_period", "zero_step_duration",
             "zero_step_duration_months", "negative_step_duration_synth", "no_seeds_verify_axioms", "no_seeds_train",
-            "nan_lambda_div", "nan_split_train", "nan_split_months",
+            "nan_lambda_div", "nan_split_train", "nan_split_months", "fractional_seed", "repeated_fractional_seed",
+            "duplicate_seed_train", "duplicate_seed_verify_axioms", "negative_seed", "negative_delta", "zero_delta",
+            "delta_one", "nan_delta",
         ],
     )
     def test_one_line_exit_1(self, workspace, tmp_path, capsys, recwarn, command, change, message):
@@ -397,6 +428,54 @@ class TestBadConfigValues:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
         assert [str(w.message) for w in recwarn] == []
         assert list((tmp_path / "out").glob("*")) == []
+
+
+class TestListElements:
+    """Every list-valued key checks each element when the config loads: one line naming the key."""
+
+    @pytest.mark.parametrize(
+        "key,value,index,kind",
+        [
+            ("synth_periods", ["a", 12.0], 0, "number"),
+            ("synth_amplitudes", [1.0, None], 1, "number"),
+            ("synth_phases", [0.0, True], 1, "number"),
+            ("known_periods", [86400, "a"], 1, "number"),
+            ("faithfulness_k", [1, 2.5], 1, "whole number"),
+            ("split_months", [12, "4", 4], 1, "number"),
+            ("columns", ["value", 3], 1, "string"),
+            ("prior_periods", [24.0, [12.0]], 1, "number"),
+            ("seeds", [1, math.inf], 1, "whole number"),
+        ],
+    )
+    def test_bad_element_is_one_line(self, tmp_path, capsys, key, value, index, kind):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({key: value, "out_dir": str(tmp_path / "out")}))
+        capsys.readouterr()
+        assert main(["synth", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config key {key!r} expects a list of {kind}s, got {value[index]!r} at index {index}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_every_list_key_has_an_element_kind(self):
+        list_keys = {key for key, (default, _, _) in CONFIG_REFERENCE.items()
+                     if isinstance(default, list) or _NONEABLE.get(key) is list}
+        assert set(_LIST_ELEMENTS) == list_keys
+
+    def test_whole_number_floats_become_ints(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seeds": [7.0, 8], "faithfulness_k": [2.0]}))
+        cfg = load_config(str(path))
+        assert cfg.seeds == [7, 8] and all(type(s) is int for s in cfg.seeds)
+        assert cfg.faithfulness_k == [2] and type(cfg.faithfulness_k[0]) is int
+
+    def test_valid_lists_are_unchanged(self, tmp_path):
+        values = {"synth_periods": [24, 12.5], "known_periods": [86400], "columns": ["a", "b"],
+                  "prior_periods": [24.0, 12.0], "split_months": [12, 4.0, 4]}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(values))
+        cfg = load_config(str(path))
+        for key, value in values.items():
+            assert cfg.values[key] == value and [type(v) for v in cfg.values[key]] == [type(v) for v in value]
 
 
 class TestAttribute:
