@@ -180,10 +180,21 @@ def _check_type(key, value, default):
         raise ConfigError(f"config key {key!r} must not be null")
     expected = _NONEABLE[key] if key in _NONEABLE else type(default)
     if expected is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+        return float(_float64_sized(key, value))
     if not isinstance(value, expected) or isinstance(value, bool) is not (expected is bool):
         raise ConfigError(f"config key {key!r} expects {expected.__name__}, got {value!r}")
     return _check_elements(key, value) if expected is list else value
+
+
+def _float64_sized(key, value, where=""):
+    """``value``, unless it is an integer beyond float64's range (JSON integers have no size limit)."""
+    try:
+        float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"config key {key!r} is too large for a float64{where}: an integer of {len(str(abs(value)))} digits"
+        ) from None
+    return value
 
 
 def _check_elements(key, values: list) -> list:
@@ -195,6 +206,7 @@ def _check_elements(key, values: list) -> list:
             ok = isinstance(v, str)
         elif kind == "number":
             ok = isinstance(v, (int, float)) and not isinstance(v, bool)
+            v = _float64_sized(key, v, f" at index {i}") if ok else v
         else:
             ok = (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and v.is_integer())
             v = int(v) if ok else v

@@ -409,13 +409,19 @@ class TestBadConfigValues:
             ("discover", {"delta": 0}, "config key 'delta' must lie strictly between 0 and 1, got 0.0"),
             ("discover", {"delta": 1.0}, "config key 'delta' must lie strictly between 0 and 1, got 1.0"),
             ("discover", {"delta": math.nan}, "config key 'delta' must lie strictly between 0 and 1, got nan"),
+            # JSON integers have no size limit, and float() of one beyond float64's range overflows
+            ("synth", {"base_lr": 10**400}, "config key 'base_lr' is too large for a float64: an integer of 401 digits"),
+            ("train", {"split_train": -(10**400)}, "config key 'split_train' is too large for a float64: an integer of 401 digits"),
+            ("discover", {"known_periods": [86400, 10**400]}, "config key 'known_periods' is too large for a float64 at index 1: an integer of 401 digits"),
+            ("synth", {"synth_periods": [24.0, 10**309]}, "config key 'synth_periods' is too large for a float64 at index 1: an integer of 310 digits"),
         ],
         ids=[
             "negative_known_period", "zero_known_period", "nan_known_period", "zero_step_duration",
             "zero_step_duration_months", "negative_step_duration_synth", "no_seeds_verify_axioms", "no_seeds_train",
             "nan_lambda_div", "nan_split_train", "nan_split_months", "fractional_seed", "repeated_fractional_seed",
             "duplicate_seed_train", "duplicate_seed_verify_axioms", "negative_seed", "negative_delta", "zero_delta",
-            "delta_one", "nan_delta",
+            "delta_one", "nan_delta", "huge_base_lr", "huge_negative_split_train", "huge_known_period",
+            "huge_synth_period",
         ],
     )
     def test_one_line_exit_1(self, workspace, tmp_path, capsys, recwarn, command, change, message):

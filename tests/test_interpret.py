@@ -3,6 +3,7 @@
 import csv
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -154,6 +155,72 @@ class TestShapley:
     def test_enumeration_cap(self):
         with pytest.raises(ValueError, match="K <= 12"):
             shapley_bruteforce(np.zeros((13, 1)))
+
+    @pytest.mark.parametrize("shape", [(0, 3), ()], ids=["no-players", "0-d"])
+    def test_degenerate_input_names_its_shape(self, shape):
+        # used to fail inside NumPy's reshape or indexing
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            shapley_bruteforce(np.zeros(shape))
+
+
+def unblocked_shapley(contributions):
+    """The oracle as one product over the full [2^K, elements] coalition table."""
+    members, coef = interpret._coalitions(contributions.shape[0])
+    return coef @ (members @ contributions.reshape(contributions.shape[0], -1))
+
+
+def block_width(k):
+    return interpret._TABLE_BYTES // (8 * 2**k)
+
+
+class TestBlockedShapley:
+    """``shapley_bruteforce`` evaluates its coalition table in column blocks of bounded bytes."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_matches_unblocked_product(self, k):
+        # Each element is its own game, so blocking the columns leaves every
+        # output an inner product of the same coef row and coalition column.
+        # OpenBLAS 0.3.31 (x86-64, one thread) gives the same bytes on a
+        # block as on the full table for K <= 8; from K = 9 on it sums the
+        # 2^K-long inner product in another order on a narrow block, so
+        # there the two agree to rounding only.
+        rng = np.random.default_rng(100 + k)
+        width = block_width(k)
+        for elements in sorted({1, width - 1, width, width + 1, 8 * 672}):
+            contrib = rng.normal(size=(k, elements))
+            phi = shapley_bruteforce(contrib)
+            expected = unblocked_shapley(contrib)
+            assert np.abs(phi - expected).max() <= 1e-13 * np.abs(contrib).max(), elements
+            if k <= 8:
+                assert phi.tobytes() == expected.tobytes(), elements
+
+    @pytest.mark.parametrize("k", [3, 8, 12])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_columns_stay_non_finite(self, k, value):
+        # a NaN or inf entry spoils exactly its own element's game
+        width = block_width(k)
+        contrib = np.random.default_rng(k).normal(size=(k, 3 * width + 1))
+        bad_columns = [0, width - 1, width, 3 * width]
+        for f, col in enumerate(bad_columns):
+            contrib[f % k, col] = value
+        with np.errstate(invalid="ignore"):  # 0 * inf in the membership product
+            phi = shapley_bruteforce(contrib)
+            expected_finite = np.isfinite(unblocked_shapley(contrib)).all(axis=0)
+        assert sorted(np.flatnonzero(~expected_finite)) == bad_columns
+        np.testing.assert_array_equal(np.isfinite(phi).all(axis=0), expected_finite)
+        np.testing.assert_array_equal(np.isfinite(phi).any(axis=0), expected_finite)
+
+    def test_table_memory_is_bounded(self):
+        # the unblocked [4096, 672] table alone is 21 MiB
+        contrib = np.random.default_rng(0).normal(size=(12, 672))
+        shapley_bruteforce(contrib[:, :1])  # builds the cached coalition matrices
+        tracemalloc.start()
+        try:
+            phi = shapley_bruteforce(contrib)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - phi.nbytes < 2**20, peak
 
 
 class TestFaithfulness:
@@ -395,6 +462,39 @@ class TestVerifyAxioms:
         for name, check in checks.items():
             assert not check.passed, name
             assert math.isnan(check.max_deviation), name
+
+    def test_one_oracle_call_for_the_batch(self, monkeypatch):
+        # every element is its own game, so the batch is one game of B*H*C elements
+        oracle = interpret.shapley_bruteforce
+        shapes = []
+
+        def counted(contributions):
+            shapes.append(contributions.shape)
+            return oracle(contributions)
+
+        monkeypatch.setattr(interpret, "shapley_bruteforce", counted)
+        model = small_model(seed=7)
+        cfg = model.config
+        checks = verify_axioms(model, np.random.default_rng(0).normal(size=(8, cfg.L, cfg.C)))
+        assert shapes == [(cfg.K, 8, cfg.H, cfg.C)]
+        assert checks["shapley_equivalence"].passed
+
+    def test_one_nan_element_fails_shapley_equivalence(self, monkeypatch):
+        # a single NaN in the last window's oracle output must survive the reduction
+        oracle = interpret.shapley_bruteforce
+
+        def planted(contributions):
+            phi = oracle(contributions)
+            phi[-1, -1, -1, -1] = np.nan
+            return phi
+
+        monkeypatch.setattr(interpret, "shapley_bruteforce", planted)
+        model = small_model(seed=7)
+        cfg = model.config
+        checks = verify_axioms(model, np.random.default_rng(0).normal(size=(8, cfg.L, cfg.C)))
+        assert checks["completeness"].passed
+        assert not checks["shapley_equivalence"].passed
+        assert math.isnan(checks["shapley_equivalence"].max_deviation)
 
     def test_no_windows_rejected(self):
         # used to fail inside NumPy's max reduction
