@@ -123,9 +123,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .data import SplitSpec, WindowSet, fit_apply_zscore, load_csv, make_windows, save_csv, synth_series
+from .data import SeriesTable, SplitSpec, WindowSet, fit_apply_zscore, load_csv, make_windows, save_csv, synth_series
 from .interpret import (
     alpha_report,
     build_discovery_report,
@@ -110,6 +110,7 @@ CONFIG_REFERENCE = {
 }
 
 _NONEABLE = {"dataset": str, "columns": list, "prior_periods": list, "force_alpha": float}
+_INT64 = np.iinfo(np.int64)
 
 # what every element of a list-valued key must be; the command that reads
 # a list checks the element values (ranges, counts, duplicates)
@@ -183,7 +184,13 @@ def _check_type(key, value, default):
         return float(_float64_sized(key, value))
     if not isinstance(value, expected) or isinstance(value, bool) is not (expected is bool):
         raise ConfigError(f"config key {key!r} expects {expected.__name__}, got {value!r}")
+    if expected is int:
+        return _int64_sized(key, value)
     return _check_elements(key, value) if expected is list else value
+
+
+def _too_large(value: int, kind: str, where: str = "") -> str:
+    return f"too large for {kind}{where}: an integer of {len(str(abs(value)))} digits"
 
 
 def _float64_sized(key, value, where=""):
@@ -191,9 +198,22 @@ def _float64_sized(key, value, where=""):
     try:
         float(value)
     except OverflowError:
-        raise ConfigError(
-            f"config key {key!r} is too large for a float64{where}: an integer of {len(str(abs(value)))} digits"
-        ) from None
+        raise ConfigError(f"config key {key!r} is {_too_large(value, 'a float64', where)}") from None
+    return value
+
+
+def _int64_sized(key, value, where=""):
+    """``value``, unless it is an integer beyond int64's range: sizes, counts and seeds reach NumPy as int64."""
+    if not _INT64.min <= value <= _INT64.max:
+        raise ConfigError(f"config key {key!r} is {_too_large(value, 'an int64', where)}")
+    return value
+
+
+def int64(text: str) -> int:
+    """An integer flag value within int64's range, bounded as a config integer is."""
+    value = int(text)
+    if not _INT64.min <= value <= _INT64.max:
+        raise argparse.ArgumentTypeError(_too_large(value, "an int64"))
     return value
 
 
@@ -209,7 +229,7 @@ def _check_elements(key, values: list) -> list:
             v = _float64_sized(key, v, f" at index {i}") if ok else v
         else:
             ok = (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and v.is_integer())
-            v = int(v) if ok else v
+            v = _int64_sized(key, int(v), f" at index {i}") if ok else v
         if not ok:
             raise ConfigError(f"config key {key!r} expects a list of {kind}s, got {v!r} at index {i}")
         checked.append(v)
@@ -227,16 +247,21 @@ def config_reference_text() -> str:
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _load_windows(cfg: RunConfig, *needed: str) -> dict[str, WindowSet]:
-    """Windows of every nonempty split; each split named in ``needed`` must have rows."""
+def _load_table(cfg: RunConfig) -> SeriesTable:
+    """The configured dataset as read from its CSV."""
     if cfg.dataset is None:
         raise ConfigError("this command needs a 'dataset' path in the config")
-    table = load_csv(
+    return load_csv(
         cfg.dataset,
         timestamp_column=cfg.timestamp_column,
         columns=cfg.columns,
         step_duration=cfg.step_duration,
     )
+
+
+def _load_windows(cfg: RunConfig, *needed: str) -> dict[str, WindowSet]:
+    """Windows of every nonempty split; each split named in ``needed`` must have rows."""
+    table = _load_table(cfg)
     split = cfg.build(SplitSpec)
     normalized, _ = fit_apply_zscore(table, split)
     windows = make_windows(normalized, cfg.input_length, cfg.horizon, split)
@@ -479,7 +504,7 @@ def cmd_verify_axioms(cfg: RunConfig, args) -> int:
         model, _ = load_checkpoint(args.checkpoint)
     else:
         seed = args.seed if args.seed is not None else _config_seeds(cfg)[0]
-        channels = 1 if cfg.dataset is None else _load_windows(cfg, "train")["train"].inputs.shape[2]
+        channels = 1 if cfg.dataset is None else _load_table(cfg).n_channels
         model = FreqLens(cfg.build(ModelConfig, C=channels, seed=seed))
     checks = verify_axioms(model)
     failed = [name for name, check in checks.items() if not check.passed]
@@ -529,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("synth", "write a synthetic series as CSV", "config", "out")
 
     p = command("train", "train one model per seed", "config", "out")
-    p.add_argument("--seed", type=int, help="single seed overriding the config list")
+    p.add_argument("--seed", type=int64, help="single seed overriding the config list")
 
     command("evaluate", "metrics of each checkpoint on a split", "config", "run", "split")
 
@@ -551,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify-axioms", "check the attribution axioms and the Shapley oracle", "config")
     model_source = p.add_mutually_exclusive_group()
-    model_source.add_argument("--seed", type=int, help="seed of the random model checked without --checkpoint "
+    model_source.add_argument("--seed", type=int64, help="seed of the random model checked without --checkpoint "
                               "(default: the first config seed)")
     model_source.add_argument("--checkpoint", help="checkpoint to check instead of a random model")
 
@@ -584,8 +609,11 @@ def main(argv=None) -> int:
         # before the ValueError branch: the gradient error is a ValueError subclass
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # NumPy's names the allocation it could not make
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

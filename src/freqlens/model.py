@@ -163,9 +163,8 @@ def build_bases(freqs: Tensor, phases: Tensor, L: int) -> Tensor:
     psi_i(t) = cos(2 pi f_i t + phi_i).  Near-zero rows (only possible
     for pathological phases) are floored at 1e-8 with a diagnostic
     instead of dividing by ~0, and a floored norm passes no gradient.
-    Evaluation passes reuse the bases while the bank is unchanged, so
-    the diagnostic fires once per bank state there, not once per
-    forward.
+    Every pass reuses the bases while the bank is unchanged, so the
+    diagnostic fires once per bank state, not once per forward.
 
     One node over ``freqs`` and ``phases``.  Its rule runs the chain
     rule of angle -> cos -> norm -> divide in the order the op-by-op
@@ -219,7 +218,7 @@ class ForwardOutput:
     forward pass never builds the reconstruction, and no pass builds
     the hidden features ``inputs @ input_proj``.
 
-    Evaluation outputs of one bank state share the same ``bases`` and
+    Outputs of one bank state share the same ``bases`` and
     ``frequencies`` tensors (see ``FreqLens._bases``): read them, never
     write them.
     """
@@ -314,10 +313,10 @@ class FreqLens:
 
     Parameters are only mutated by the optimizer (single-threaded per
     run); a model that is not being trained is read-only and safe to
-    share across threads for inference.  Evaluation passes reuse the
-    bases while ``theta`` and ``phase`` are unchanged; the only state
-    they write is that cache, which a pass reads once and replaces in
-    one assignment, so concurrent evaluation passes stay safe.
+    share across threads for inference.  Every pass reuses the bases
+    while ``theta`` and ``phase`` are unchanged; the only state a pass
+    writes is that cache, which it reads once and replaces in one
+    assignment, so concurrent evaluation passes stay safe.
     """
 
     def __init__(self, config: ModelConfig):
@@ -334,7 +333,7 @@ class FreqLens:
         self.residual_w1 = Tensor(_xavier(rng, c.L * c.C, c.d), requires_grad=True)
         self.residual_w2 = Tensor(_xavier(rng, c.d, c.H * c.C), requires_grad=True)
         self.fusion_logit = Tensor(0.0, requires_grad=True)  # sigmoid(0) = 0.5
-        self._eval_bases: tuple[tuple[bytes, bytes], Tensor, Tensor] | None = None  # see _bases
+        self._bases_cache: tuple[tuple[bytes, bytes], Tensor, Tensor] | None = None  # see _bases
 
     # -- parameter bookkeeping ----------------------------------------------
     def parameters(self) -> list[tuple[str, Tensor]]:
@@ -389,35 +388,36 @@ class FreqLens:
             params[name].data[...] = value  # in place: an optimizer's packed views stay bound
 
     # -- forward pieces -------------------------------------------------------
-    def _bases(self, training: bool) -> tuple[Tensor, Tensor]:
+    def _bases(self) -> tuple[Tensor, Tensor]:
         """The bank's frequencies [N] and unit-norm bases [N, L].
 
-        They depend on ``theta`` and ``phase`` alone, so an evaluation
-        pass reuses the pair the last evaluation pass built while the
-        exact bytes of both are unchanged.  A value key sees every write:
-        the optimizer's and ``load_state_dict``'s in-place updates as
-        well as a rebound ``.data``.  A training pass neither reads nor
-        stores the pair, so its tape reaches the live parameters.
+        They depend on ``theta`` and ``phase`` alone, so every pass
+        (training, evaluation, ``masked_forward``) reuses the pair the
+        last pass built while the exact bytes of both are unchanged.  A
+        value key sees every write: the optimizer's and
+        ``load_state_dict``'s in-place updates as well as a rebound
+        ``.data``.  A reused pair is the node that was built from those
+        bytes, with the live parameters as its parents, so a training
+        pass backpropagates through it exactly as through a fresh one.
         """
         bank = self.bank
-        key = None if training else (bank.theta.data.tobytes(), bank.phase.data.tobytes())
-        cached = self._eval_bases  # one read: a concurrent store swaps the whole tuple
-        if key is not None and cached is not None and cached[0] == key:
+        key = (bank.theta.data.tobytes(), bank.phase.data.tobytes())
+        cached = self._bases_cache  # one read: a concurrent store swaps the whole tuple
+        if cached is not None and cached[0] == key:
             return cached[1], cached[2]
         freqs = bank.frequencies()
         psi_bar = build_bases(freqs, bank.phase, self.config.L)
-        if key is not None:
-            self._eval_bases = (key, freqs, psi_bar)
+        self._bases_cache = (key, freqs, psi_bar)
         return freqs, psi_bar
 
-    def _encode(self, x: Tensor, training: bool) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    def _encode(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         """Input -> bases -> coefficients [B, N, d]; shared by all passes.
 
         ``c = (psi_bar @ x) @ input_proj``, which equals the projection
         of the hidden features ``psi_bar @ (x @ input_proj)`` without
         building them.  Returns (freqs, psi_bar, xc, c).
         """
-        freqs, psi_bar = self._bases(training)
+        freqs, psi_bar = self._bases()
         xc = project(x, psi_bar)
         return freqs, psi_bar, xc, ad.matmul(xc, self.input_proj)
 
@@ -478,7 +478,7 @@ class FreqLens:
             raise ValueError(f"forward: expected input [B, {cfg.L}, {cfg.C}], got {x.shape}")
 
         xt = Tensor(x)
-        freqs, psi_bar, xc, c = self._encode(xt, training)
+        freqs, psi_bar, xc, c = self._encode(xt)
         selected, weights = self.score_and_select(c, training, tau, rng)
         contributions = self.head_contribution(ad.gather_rows(c, selected))
         if training:
@@ -533,7 +533,7 @@ class FreqLens:
                 f"masked_forward: expected a bool slot mask [S, {b}, {cfg.K}], "
                 f"got {keep.dtype} {keep.shape}"
             )
-        c = self._encode(Tensor(x), training=False)[-1]
+        c = self._encode(Tensor(x))[-1]
         stacked = self.head_contribution(ad.gather_rows(c, selection)).data  # [B, K, H, C]
         del c  # the [B, N, d] coefficients are not needed while the rows are summed
         # Row s is stacked.sum(axis=1) with the dropped slots zeroed in

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import freqlens
-from freqlens import training
+from freqlens import cli, training
 from freqlens.cli import (
     CONFIG_REFERENCE,
     ConfigError,
@@ -414,6 +414,13 @@ class TestBadConfigValues:
             ("train", {"split_train": -(10**400)}, "config key 'split_train' is too large for a float64: an integer of 401 digits"),
             ("discover", {"known_periods": [86400, 10**400]}, "config key 'known_periods' is too large for a float64 at index 1: an integer of 401 digits"),
             ("synth", {"synth_periods": [24.0, 10**309]}, "config key 'synth_periods' is too large for a float64 at index 1: an integer of 310 digits"),
+            # sizes, counts and seeds reach NumPy (and file names) as int64
+            ("train", {"seeds": [10**300]}, "config key 'seeds' is too large for an int64 at index 0: an integer of 301 digits"),
+            ("train", {"seeds": [1, 1e300]}, "config key 'seeds' is too large for an int64 at index 1: an integer of 301 digits"),
+            ("synth", {"faithfulness_k": [1, 2**63]}, "config key 'faithfulness_k' is too large for an int64 at index 1: an integer of 19 digits"),
+            ("synth", {"synth_length": 10**400}, "config key 'synth_length' is too large for an int64: an integer of 401 digits"),
+            ("train", {"epochs": 10**400}, "config key 'epochs' is too large for an int64: an integer of 401 digits"),
+            ("synth", {"synth_seed": -(2**63) - 1}, "config key 'synth_seed' is too large for an int64: an integer of 19 digits"),
         ],
         ids=[
             "negative_known_period", "zero_known_period", "nan_known_period", "zero_step_duration",
@@ -421,7 +428,8 @@ class TestBadConfigValues:
             "nan_lambda_div", "nan_split_train", "nan_split_months", "fractional_seed", "repeated_fractional_seed",
             "duplicate_seed_train", "duplicate_seed_verify_axioms", "negative_seed", "negative_delta", "zero_delta",
             "delta_one", "nan_delta", "huge_base_lr", "huge_negative_split_train", "huge_known_period",
-            "huge_synth_period",
+            "huge_synth_period", "huge_seed", "huge_float_seed", "huge_faithfulness_k", "huge_synth_length",
+            "huge_epochs", "huge_negative_synth_seed",
         ],
     )
     def test_one_line_exit_1(self, workspace, tmp_path, capsys, recwarn, command, change, message):
@@ -474,6 +482,12 @@ class TestListElements:
         assert cfg.seeds == [7, 8] and all(type(s) is int for s in cfg.seeds)
         assert cfg.faithfulness_k == [2] and type(cfg.faithfulness_k[0]) is int
 
+    def test_int64_bounds_are_accepted(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seeds": [2**63 - 1], "epochs": 2**63 - 1, "synth_seed": -(2**63)}))
+        cfg = load_config(str(path))
+        assert (cfg.seeds, cfg.epochs, cfg.synth_seed) == ([2**63 - 1], 2**63 - 1, -(2**63))
+
     def test_valid_lists_are_unchanged(self, tmp_path):
         values = {"synth_periods": [24, 12.5], "known_periods": [86400], "columns": ["a", "b"],
                   "prior_periods": [24.0, 12.0], "split_months": [12, 4.0, 4]}
@@ -522,6 +536,30 @@ class TestVerifyAxioms:
         out = capsys.readouterr().out
         assert out.count("PASS") == 5
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"split_train": 0.0, "split_val": 0.5, "split_test": 0.5}, {"input_length": 500}],
+        ids=["empty_train_split", "window_beyond_the_split"],
+    )
+    def test_random_model_reads_only_the_channel_count(self, workspace, tmp_path, capsys, change):
+        # the check runs on random windows, so no split of the dataset needs to hold one
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(workspace["raw"], **change)))
+        capsys.readouterr()
+        assert main(["verify-axioms", "--config", str(path), "--seed", "5"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 5
+
+    def test_random_model_has_the_dataset_channel_count(self, tmp_path, monkeypatch):
+        data = tmp_path / "three.csv"
+        save_csv(SeriesTable(np.random.default_rng(0).normal(size=(64, 3)), 3600.0, ["a", "b", "c"]), data)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"dataset": str(data), "input_length": 16, "horizon": 4, "hidden_width": 4,
+                                    "num_bases": 4, "top_k": 2}))
+        channels = []
+        monkeypatch.setattr(cli, "verify_axioms", lambda model: channels.append(model.config.C) or {})
+        assert main(["verify-axioms", "--config", str(path)]) == 0
+        assert channels == [3]
 
     def test_checkpoint_passes(self, workspace):
         ckpt = str(workspace["root"] / "run" / "checkpoint-1.ckpt")
@@ -606,6 +644,19 @@ class TestUsageErrors:
             f"error: freqlens verify-axioms: argument {second[0]}: not allowed with argument {first[0]}\n"
         )
 
+    @pytest.mark.parametrize("command", ["train", "verify-axioms"])
+    def test_seed_flag_beyond_int64_is_one_line(self, command, workspace, tmp_path, capsys):
+        # a seed names the checkpoint and log files, so an unbounded one could not be written
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(workspace["raw"], out_dir=str(tmp_path / "out"))))
+        capsys.readouterr()
+        assert main([command, "--config", str(path), "--seed", "9" * 300]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        assert captured.err == (
+            f"error: freqlens {command}: argument --seed: too large for an int64: an integer of 300 digits\n"
+        )
+
     def test_removed_freq_mode_key_is_a_one_line_usage_error(self, tmp_path, capsys):
         # the periods alone select the fixed-prior bank
         path = tmp_path / "c.json"
@@ -685,6 +736,19 @@ def _empty_val_split(tmp_path, monkeypatch, raw):
     return ["train"], dict(raw, split_train=0.8, split_val=0.0, split_test=0.2)
 
 
+def _out_dir_below_a_file(tmp_path, monkeypatch, raw):
+    (tmp_path / "file").write_text("")
+    return ["synth"], dict(raw, out_dir=str(tmp_path / "file" / "out"))
+
+
+def _out_of_memory(tmp_path, monkeypatch, raw):
+    def huge(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64")
+
+    monkeypatch.setattr(cli, "synth_series", huge)
+    return ["synth"], raw
+
+
 def _evaluate_empty_val_split(tmp_path, monkeypatch, raw):
     # the split is checked before the run directory is read
     _, raw = _empty_val_split(tmp_path, monkeypatch, raw)
@@ -712,10 +776,13 @@ class TestFailureExitCodes:
             (_non_finite_loss, 3, "numeric failure: non-finite loss at epoch 0, batch 0"),
             (_empty_val_split, 1, "error: the 'val' split is empty"),
             (_evaluate_empty_val_split, 1, "error: the 'val' split is empty"),
+            (_out_dir_below_a_file, 1, "Not a directory"),
+            (_out_of_memory, 1, "error: Unable to allocate 7.28 TiB"),
         ],
         ids=[
             "infinite_csv_cell", "biased_head", "non_finite_head_weight", "infinite_head_weight",
-            "non_finite_loss", "empty_val_split", "evaluate_empty_val_split",
+            "non_finite_loss", "empty_val_split", "evaluate_empty_val_split", "out_dir_below_a_file",
+            "out_of_memory",
         ],
     )
     def test_exit_code_and_one_line(self, workspace, tmp_path, monkeypatch, capsys, recwarn, forge, code, message):

@@ -41,14 +41,20 @@ def _references(path: Path, strings: bool) -> set[str]:
 
 @pytest.mark.parametrize("module_name", MODULES)
 def test_every_export_is_reached_outside_tests(module_name):
-    # the package __init__ only re-exports, and src strings are skipped so
-    # that an ``__all__`` entry does not count as a use of its own name
+    # src strings are skipped so that an ``__all__`` entry does not count
+    # as a use of its own name
     src = ROOT / "src" / "freqlens"
     used = set().union(
-        *(_references(p, strings=False) for p in src.glob("*.py") if p.name != "__init__.py"),
+        *(_references(p, strings=False) for p in src.glob("*.py")),
         *(_references(p, strings=True) for p in (ROOT / "perfbench").rglob("*.py")),
         _references(ROOT / "tests" / "test_acceptance.py", strings=True),
     )
     module = importlib.import_module(module_name)
     unused = sorted(set(getattr(module, "__all__", ())) - used - REFERENCE_ONLY)
     assert not unused, f"{module_name}.__all__ names reached only from tests: {unused}"
+
+
+def test_package_init_binds_no_names():
+    # each name is imported from the module that defines it: one path to each
+    (statement,) = ast.parse((ROOT / "src" / "freqlens" / "__init__.py").read_text()).body
+    assert isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Constant)

@@ -467,7 +467,7 @@ def assert_same_eval(model, x):
 
 
 class TestEvalBasesReuse:
-    """Evaluation reuses the bases while theta and phase keep their bytes."""
+    """Every pass reuses the bases while theta and phase keep their bytes."""
 
     @pytest.mark.parametrize("name", ["theta", "phase"])
     @pytest.mark.parametrize("write", ["in_place", "rebind"])
@@ -563,10 +563,16 @@ class TestEvalBasesReuse:
         model.masked_forward(x, out.selected, np.ones((1, x.shape[0], cfg.K), dtype=bool))
         assert len(calls) == 1
         assert again.bases is out.bases and again.frequencies is out.frequencies
-        model.forward(x, training=True, tau=0.5, rng=np.random.default_rng(0))
-        assert len(calls) == 2  # training builds its own, and leaves the evaluation pair alone
+        step = model.forward(x, training=True, tau=0.5, rng=np.random.default_rng(0))
+        assert len(calls) == 1  # a training pass on an unchanged bank reuses the pair
+        assert step.bases is out.bases and step.frequencies is out.frequencies
+        for built, name in enumerate(("phase", "theta"), start=2):  # a step that moves either rebuilds it
+            loss, _ = total_loss(model, step, np.ones((x.shape[0], cfg.H, cfg.C)), LossWeights())
+            Adam([(name, getattr(model.bank, name))]).step(backward(loss), lr=1e-2)
+            step = model.forward(x, training=True, tau=0.5, rng=np.random.default_rng(0))
+            assert len(calls) == built
         model.forward(x)
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     def test_near_zero_row_warns_once_per_bank_state(self):
         # at L = 2 a saturated frequency (~0.5) with phase pi/2 samples two zeros of the cosine

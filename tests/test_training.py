@@ -7,6 +7,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from freqlens import model as model_module
+from freqlens import training as training_module
 from freqlens.autodiff import Tensor, backward, check_gradients, finite_difference
 from freqlens.model import FreqLens, ModelConfig
 from freqlens.training import (
@@ -39,6 +41,19 @@ def windows_from_synth(components, T=400, L=48, H=8, seed=0, noise=0.05, trend=0
     split = SplitSpec(train=0.7, val=0.1, test=0.2)
     normalized, _ = fit_apply_zscore(table, split)
     return make_windows(normalized, L, H, split)
+
+
+def count_builds(monkeypatch) -> list:
+    """A list that grows by one on each ``build_bases`` call the model makes."""
+    calls = []
+    real = model_module.build_bases
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(model_module, "build_bases", counting)
+    return calls
 
 
 def assert_loss_gradients_match_finite_differences(model, x, y):
@@ -461,6 +476,31 @@ class TestTrainLoop:
         model = FreqLens(cfg)
         train(model, tr, va, TrainConfig(epochs=3, seed=7))
         np.testing.assert_array_equal(model.bank.frequencies().data, [1 / 24, 1 / 12])
+
+    def test_fixed_prior_run_builds_the_bases_once(self, monkeypatch):
+        # the bank never moves, so every step and every validation pass reuses the first pair
+        tr, va = self.make_data()
+        model = FreqLens(ModelConfig(L=24, H=4, C=1, d=8, N=2, K=2, prior_periods=(24, 12)))
+        calls = count_builds(monkeypatch)
+        train(model, tr, va, TrainConfig(epochs=3, seed=7))
+        assert len(calls) == 1
+
+    def test_zero_lr_final_epoch_builds_no_bases(self, monkeypatch):
+        # the cosine schedule ends at lr = 0, so the last epoch leaves the bank's bytes as they were
+        tr, va = self.make_data()
+        model = FreqLens(ModelConfig(L=24, H=4, C=1, d=8, N=4, K=2, seed=6))
+        calls, starts = count_builds(monkeypatch), []
+        real = training_module.schedules
+
+        def recording(*args):
+            starts.append(len(calls))
+            return real(*args)
+
+        monkeypatch.setattr(training_module, "schedules", recording)
+        _, log = train(model, tr, va, TrainConfig(epochs=3, seed=6))
+        assert log.records[-1].lr == 0.0 and len(starts) == 3
+        assert starts[2] - starts[1] > 0  # a moving bank is rebuilt
+        assert len(calls) == starts[2]
 
     @pytest.mark.parametrize(
         "overrides,frozen",
