@@ -110,7 +110,7 @@ CONFIG_REFERENCE = {
 }
 
 _NONEABLE = {"dataset": str, "columns": list, "prior_periods": list, "force_alpha": float}
-_INT64 = np.iinfo(np.int64)
+_INT64 = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)  # sizes, counts and seeds reach NumPy as int64
 
 # what every element of a list-valued key must be; the command that reads
 # a list checks the element values (ranges, counts, duplicates)
@@ -180,8 +180,8 @@ def _check_type(key, value, default):
             return None
         raise ConfigError(f"config key {key!r} must not be null")
     expected = _NONEABLE[key] if key in _NONEABLE else type(default)
-    if expected is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(_float64_sized(key, value))
+    if expected is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(_finite(key, value))
     if not isinstance(value, expected) or isinstance(value, bool) is not (expected is bool):
         raise ConfigError(f"config key {key!r} expects {expected.__name__}, got {value!r}")
     if expected is int:
@@ -193,18 +193,19 @@ def _too_large(value: int, kind: str, where: str = "") -> str:
     return f"too large for {kind}{where}: an integer of {len(str(abs(value)))} digits"
 
 
-def _float64_sized(key, value, where=""):
-    """``value``, unless it is an integer beyond float64's range (JSON integers have no size limit)."""
+def _finite(key, value, where=""):
+    """``value``, unless it is no finite float64 (JSON reads ``1e400`` as inf; its integers have no size limit)."""
     try:
-        float(value)
+        number = float(value)
     except OverflowError:
         raise ConfigError(f"config key {key!r} is {_too_large(value, 'a float64', where)}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"config key {key!r} needs finite numbers, got {number!r}")
     return value
 
 
 def _int64_sized(key, value, where=""):
-    """``value``, unless it is an integer beyond int64's range: sizes, counts and seeds reach NumPy as int64."""
-    if not _INT64.min <= value <= _INT64.max:
+    if value not in _INT64:
         raise ConfigError(f"config key {key!r} is {_too_large(value, 'an int64', where)}")
     return value
 
@@ -212,7 +213,7 @@ def _int64_sized(key, value, where=""):
 def int64(text: str) -> int:
     """An integer flag value within int64's range, bounded as a config integer is."""
     value = int(text)
-    if not _INT64.min <= value <= _INT64.max:
+    if value not in _INT64:
         raise argparse.ArgumentTypeError(_too_large(value, "an int64"))
     return value
 
@@ -226,7 +227,7 @@ def _check_elements(key, values: list) -> list:
             ok = isinstance(v, str)
         elif kind == "number":
             ok = isinstance(v, (int, float)) and not isinstance(v, bool)
-            v = _float64_sized(key, v, f" at index {i}") if ok else v
+            v = _finite(key, v, f" at index {i}") if ok else v
         else:
             ok = (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and v.is_integer())
             v = _int64_sized(key, int(v), f" at index {i}") if ok else v
@@ -289,17 +290,21 @@ def _load_model(cfg: RunConfig, path, channels: int) -> tuple[FreqLens, int | No
     return model, seed
 
 
-def _config_seeds(cfg: RunConfig) -> list[int]:
-    """The config's seeds: at least one, each nonnegative and listed once (a seed names its files)."""
-    seeds = cfg.seeds
+def _seeds(cfg: RunConfig, flag: int | None) -> list[int]:
+    """The seeds a command runs: the ``--seed`` flag if given, else config key 'seeds'.
+
+    Either way there is at least one, each nonnegative and listed once
+    (a seed names its files), checked before anything is written.
+    """
+    name, seeds = ("flag --seed", [flag]) if flag is not None else ("config key 'seeds'", cfg.seeds)
     if not seeds:
-        raise ConfigError("config key 'seeds' must list at least one seed")
+        raise ConfigError(f"{name} must list at least one seed")
     negative = [s for s in seeds if s < 0]
     if negative:
-        raise ConfigError(f"config key 'seeds' needs nonnegative seeds, got {negative[0]}")
+        raise ConfigError(f"{name} needs nonnegative seeds, got {negative[0]}")
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
-        raise ConfigError(f"config key 'seeds' lists seed {repeated[0]} more than once")
+        raise ConfigError(f"{name} lists seed {repeated[0]} more than once")
     return seeds
 
 
@@ -320,11 +325,6 @@ def _dump_json(path: Path, payload) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(cfg: RunConfig, args) -> int:
-    for key in ("synth_periods", "synth_amplitudes", "synth_phases", "synth_trend_slope", "synth_noise_std"):
-        value = cfg.values[key]
-        bad = [v for v in (value if isinstance(value, list) else [value]) if not math.isfinite(v)]
-        if bad:  # NaN or inf would write a non-finite series
-            raise ConfigError(f"config key {key!r} needs finite numbers, got {bad[0]!r}")
     periods = cfg.synth_periods
     amplitudes = cfg.synth_amplitudes or [1.0] * len(periods)
     phases = cfg.synth_phases or [0.0] * len(periods)
@@ -345,15 +345,17 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    seeds = [args.seed] if args.seed is not None else _config_seeds(cfg)
+    seeds = _seeds(cfg, args.seed)
     windows = _load_windows(cfg, "train", "val")
-    out = _out_dir(cfg, args)
     channels = windows["train"].inputs.shape[2]
-    for seed in seeds:
-        model = FreqLens(cfg.build(ModelConfig, C=channels, seed=seed))
-        trained, log = train(
-            model, windows["train"], windows["val"], cfg.build(TrainConfig, seed=seed), cfg.build(LossWeights)
-        )
+    # every config is built, and so checked, before the output directory is made
+    runs = [
+        (seed, cfg.build(ModelConfig, C=channels, seed=seed), cfg.build(TrainConfig, seed=seed)) for seed in seeds
+    ]
+    weights = cfg.build(LossWeights)
+    out = _out_dir(cfg, args)
+    for seed, model_config, train_config in runs:
+        trained, log = train(FreqLens(model_config), windows["train"], windows["val"], train_config, weights)
         save_checkpoint(trained, out / f"checkpoint-{seed}.ckpt", seed=seed)
         log.save(out / f"trainlog-{seed}.jsonl")
         export_loss_curves_csv(out / f"losscurves-{seed}.csv", log)
@@ -420,10 +422,10 @@ def cmd_discover(cfg: RunConfig, args) -> int:
     run_dir = Path(args.run)
     if not cfg.known_periods:
         raise ConfigError("discover needs a nonempty 'known_periods' list (physical seconds)")
-    if not 0 < cfg.delta < 1:  # also rejects NaN
+    if not 0 < cfg.delta < 1:
         raise ConfigError(f"config key 'delta' must lie strictly between 0 and 1, got {cfg.delta!r}")
     for period in cfg.known_periods:
-        if not 0 < period < math.inf:  # also rejects NaN
+        if period <= 0:
             raise ConfigError(f"config key 'known_periods' needs positive periods in seconds, got {period!r}")
     known_steps = [p / cfg.step_duration for p in cfg.known_periods]
     seeded = []
@@ -434,7 +436,7 @@ def cmd_discover(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     _dump_json(out / "discovery.json", asdict(report))
     for (seed, model), found in zip(seeded, report.seeds):
-        export_spectrum_csv(out / f"spectrum-{seed}.csv", model, known_steps, cfg.delta, found.selection_counts)
+        export_spectrum_csv(out / f"spectrum-{seed}.csv", model, found)
     gates = alpha_report([m for _, m in seeded])
     _dump_json(out / "alpha.json", asdict(gates))
     for summary in report.summary:
@@ -503,7 +505,7 @@ def cmd_verify_axioms(cfg: RunConfig, args) -> int:
     if args.checkpoint is not None:
         model, _ = load_checkpoint(args.checkpoint)
     else:
-        seed = args.seed if args.seed is not None else _config_seeds(cfg)[0]
+        seed = _seeds(cfg, args.seed)[0]
         channels = 1 if cfg.dataset is None else _load_table(cfg).n_channels
         model = FreqLens(cfg.build(ModelConfig, C=channels, seed=seed))
     checks = verify_axioms(model)

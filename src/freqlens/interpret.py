@@ -13,14 +13,14 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .atomic import atomic_write
 from .autodiff import Tensor
 from .model import FreqLens, apply_heads
+from .training import EpochRecord
 
 __all__ = [
     "PeriodMatch",
@@ -204,9 +204,9 @@ def _leave_one_out(b: int, k: int) -> np.ndarray:
     return np.broadcast_to(rows[:, None, :], (k + 1, b, k))
 
 
-def _samples(inputs, max_samples: int) -> np.ndarray:
-    """The first ``max_samples`` windows of ``inputs`` as float64; empty inputs are rejected."""
-    if max_samples < 1:
+def _samples(inputs, max_samples: int | None = None) -> np.ndarray:
+    """The first ``max_samples`` windows of ``inputs`` (all if None) as float64; empty inputs are rejected."""
+    if max_samples is not None and max_samples < 1:
         raise ValueError(f"max_samples must be at least 1, got {max_samples}")
     x = np.asarray(inputs, dtype=np.float64)
     if x.shape[:1] == (0,):
@@ -442,9 +442,7 @@ def verify_axioms(model: FreqLens, inputs=None, tol: float = 1e-9) -> dict[str, 
     cfg = model.config
     if inputs is None:
         inputs = np.random.default_rng(0).normal(size=(2, cfg.L, cfg.C))
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.shape[:1] == (0,):
-        raise ValueError(f"verify_axioms: no input windows, inputs have shape {x.shape}")
+    x = _samples(inputs)
     out = model.forward(x)
     checks: dict[str, AxiomCheck] = {}
 
@@ -478,31 +476,28 @@ def verify_axioms(model: FreqLens, inputs=None, tol: float = 1e-9) -> dict[str, 
 # plot-ready CSV exports
 # ---------------------------------------------------------------------------
 
-def export_spectrum_csv(path, model: FreqLens, known_periods_steps, delta: float, counts: Sequence[int]) -> None:
+def export_spectrum_csv(path, model: FreqLens, discovery: SeedDiscovery) -> None:
     """Per-basis rows of (basis index, frequency, period, selection count, matched flag).
 
-    Rows run in ascending period order, the order of
-    ``SeedDiscovery.periods_steps``; ``counts`` are listed in that order
-    too, as ``SeedDiscovery.selection_counts`` holds them.
+    ``discovery`` is the model's entry of ``build_discovery_report``:
+    rows run in its ascending period order with its selection counts,
+    and a row is flagged matched when its basis is the learned period
+    of one of its matches, so the flags are ``discovery.json``'s.
     """
     freqs, periods, order = _by_period(model)
-    known = np.asarray(list(known_periods_steps), dtype=np.float64)
+    matched = {discovery.periods_steps.index(m.learned_period) for m in discovery.matches if m.matched}
     with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["basis_index", "frequency", "period_steps", "selection_count", "matched"])
-        for i, count in zip(order, counts, strict=True):
-            matched = bool(np.any(np.abs(periods[i] - known) / known < delta))
-            writer.writerow([int(i), repr(float(freqs[i])), repr(float(periods[i])), int(count), int(matched)])
+        for row, (i, count) in enumerate(zip(order, discovery.selection_counts, strict=True)):
+            writer.writerow([int(i), repr(float(freqs[i])), repr(float(periods[i])), int(count), int(row in matched)])
 
 
 def export_loss_curves_csv(path, log) -> None:
-    """Per-epoch loss components and validation error, one row per epoch."""
+    """Per-epoch scalar fields of the log's records (every ``EpochRecord`` field but the frequencies)."""
+    columns = [f.name for f in fields(EpochRecord) if f.name != "frequencies"]
     with atomic_write(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["epoch", "loss_pred", "loss_div", "loss_recon", "loss_total", "val_mse", "tau", "lr"]
-        )
+        writer.writerow(columns)
         for r in log.records:
-            writer.writerow(
-                [r.epoch, r.loss_pred, r.loss_div, r.loss_recon, r.loss_total, r.val_mse, r.tau, r.lr]
-            )
+            writer.writerow([getattr(r, name) for name in columns])

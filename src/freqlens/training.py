@@ -381,7 +381,7 @@ def train(model: FreqLens, train_data, val_data, config: TrainConfig,
     for epoch in range(config.epochs):
         lr, tau = schedules(epoch, config.epochs, config)
         order = shuffle_rng.permutation(n)
-        sums = {"pred": 0.0, "div": 0.0, "recon": 0.0, "total": 0.0}
+        sums: dict[str, float] = {}  # loss component name -> sum over the epoch's batches
         n_batches = 0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
@@ -393,18 +393,15 @@ def train(model: FreqLens, train_data, val_data, config: TrainConfig,
                 )
             grads = backward(loss)
             optimizer.step(grads, lr)
-            for key in sums:
-                sums[key] += comps[key]
+            for key, value in comps.items():
+                sums[key] = sums.get(key, 0.0) + value
             n_batches += 1
 
         val_mse = evaluate_mse(model, (x_val, y_val))
         log.records.append(
             EpochRecord(
                 epoch=epoch,
-                loss_pred=sums["pred"] / n_batches,
-                loss_div=sums["div"] / n_batches,
-                loss_recon=sums["recon"] / n_batches,
-                loss_total=sums["total"] / n_batches,
+                **{f"loss_{key}": total / n_batches for key, total in sums.items()},
                 val_mse=val_mse,
                 tau=tau,
                 lr=lr,

@@ -1,11 +1,12 @@
 """Artifacts are replaced whole or not at all."""
 
+import numpy as np
 import pytest
 
 from freqlens import atomic, cli
 from freqlens.atomic import atomic_write
 from freqlens.data import save_csv, synth_series
-from freqlens.interpret import export_loss_curves_csv, export_spectrum_csv
+from freqlens.interpret import build_discovery_report, export_loss_curves_csv, export_spectrum_csv
 from freqlens.model import FreqLens, ModelConfig, save_checkpoint
 from freqlens.training import EpochRecord, TrainLog
 
@@ -38,13 +39,17 @@ def _log():
     return TrainLog([record])
 
 
+def _spectrum(path):
+    model = FreqLens(ModelConfig(L=8, H=2, C=1, d=2, N=2, K=1))
+    (found,) = build_discovery_report([(0, model)], [24.0], 0.15, np.zeros((1, 8, 1))).seeds
+    export_spectrum_csv(path, model, found)
+
+
 WRITERS = {
     "checkpoint": lambda p: save_checkpoint(FreqLens(ModelConfig(L=8, H=2, C=1, d=2, N=2, K=1)), p),
     "trainlog": lambda p: _log().save(p),
     "losscurves_csv": lambda p: export_loss_curves_csv(p, _log()),
-    "spectrum_csv": lambda p: export_spectrum_csv(
-        p, FreqLens(ModelConfig(L=8, H=2, C=1, d=2, N=2, K=1)), [24.0], 0.15, [0, 0]
-    ),
+    "spectrum_csv": _spectrum,
     "series_csv": lambda p: save_csv(synth_series([(4.0, 1.0, 0.0)], length=8), p),
     "json_report": lambda p: cli._dump_json(p, {"k": 1}),
 }

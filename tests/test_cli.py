@@ -391,15 +391,15 @@ class TestBadConfigValues:
         [
             ("discover", {"known_periods": [-86400]}, "config key 'known_periods' needs positive periods in seconds, got -86400"),
             ("discover", {"known_periods": [0]}, "config key 'known_periods' needs positive periods in seconds, got 0"),
-            ("discover", {"known_periods": [86400, math.nan]}, "config key 'known_periods' needs positive periods in seconds, got nan"),
+            ("discover", {"known_periods": [86400, math.nan]}, "config key 'known_periods' needs finite numbers, got nan"),
             ("discover", {"step_duration": 0}, "step_duration must be a positive number of seconds, got 0.0"),
             ("train", {"step_duration": 0, "split_mode": "months"}, "step_duration must be a positive number of seconds, got 0.0"),
             ("synth", {"step_duration": -3600}, "step_duration must be a positive number of seconds, got -3600.0"),
             ("verify-axioms", {"seeds": []}, "config key 'seeds' must list at least one seed"),
             ("train", {"seeds": []}, "config key 'seeds' must list at least one seed"),
-            ("train", {"lambda_div": math.nan}, "lambda_div must be nonnegative, got nan"),
-            ("train", {"split_train": math.nan}, "split fraction train must be nonnegative, got nan"),
-            ("train", {"split_mode": "months", "split_months": [math.nan, 1, 1]}, "months split needs three positive whole month counts"),
+            ("train", {"lambda_div": math.nan}, "config key 'lambda_div' needs finite numbers, got nan"),
+            ("train", {"split_train": math.nan}, "config key 'split_train' needs finite numbers, got nan"),
+            ("train", {"split_mode": "months", "split_months": [math.nan, 1, 1]}, "config key 'split_months' needs finite numbers, got nan"),
             ("train", {"seeds": [1.5]}, "config key 'seeds' expects a list of whole numbers, got 1.5 at index 0"),
             ("train", {"seeds": [1.5, 1.5]}, "config key 'seeds' expects a list of whole numbers, got 1.5 at index 0"),
             ("train", {"seeds": [3, 4, 3]}, "config key 'seeds' lists seed 3 more than once"),
@@ -408,7 +408,7 @@ class TestBadConfigValues:
             ("discover", {"delta": -1}, "config key 'delta' must lie strictly between 0 and 1, got -1.0"),
             ("discover", {"delta": 0}, "config key 'delta' must lie strictly between 0 and 1, got 0.0"),
             ("discover", {"delta": 1.0}, "config key 'delta' must lie strictly between 0 and 1, got 1.0"),
-            ("discover", {"delta": math.nan}, "config key 'delta' must lie strictly between 0 and 1, got nan"),
+            ("discover", {"delta": math.nan}, "config key 'delta' needs finite numbers, got nan"),
             # JSON integers have no size limit, and float() of one beyond float64's range overflows
             ("synth", {"base_lr": 10**400}, "config key 'base_lr' is too large for a float64: an integer of 401 digits"),
             ("train", {"split_train": -(10**400)}, "config key 'split_train' is too large for a float64: an integer of 401 digits"),
@@ -421,6 +421,10 @@ class TestBadConfigValues:
             ("synth", {"synth_length": 10**400}, "config key 'synth_length' is too large for an int64: an integer of 401 digits"),
             ("train", {"epochs": 10**400}, "config key 'epochs' is too large for an int64: an integer of 401 digits"),
             ("synth", {"synth_seed": -(2**63) - 1}, "config key 'synth_seed' is too large for an int64: an integer of 19 digits"),
+            # train builds every seed's configs before it makes out_dir
+            ("train", {"top_k": 0}, "need 1 <= K <= N, got K=0, N=8"),
+            ("train", {"epochs": 0}, "epochs must be >= 1"),
+            ("train", {"lambda_recon": -1.0}, "lambda_recon must be nonnegative, got -1.0"),
         ],
         ids=[
             "negative_known_period", "zero_known_period", "nan_known_period", "zero_step_duration",
@@ -429,7 +433,7 @@ class TestBadConfigValues:
             "duplicate_seed_train", "duplicate_seed_verify_axioms", "negative_seed", "negative_delta", "zero_delta",
             "delta_one", "nan_delta", "huge_base_lr", "huge_negative_split_train", "huge_known_period",
             "huge_synth_period", "huge_seed", "huge_float_seed", "huge_faithfulness_k", "huge_synth_length",
-            "huge_epochs", "huge_negative_synth_seed",
+            "huge_epochs", "huge_negative_synth_seed", "zero_top_k", "zero_epochs", "negative_lambda_recon",
         ],
     )
     def test_one_line_exit_1(self, workspace, tmp_path, capsys, recwarn, command, change, message):
@@ -441,7 +445,32 @@ class TestBadConfigValues:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
         assert [str(w.message) for w in recwarn] == []
-        assert list((tmp_path / "out").glob("*")) == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key,text,bad",
+        [
+            # JSON reads 1e400 as inf: each of these once trained, or failed mid-run as a numeric failure
+            ("base_lr", "1e400", "inf"),
+            ("gumbel_tau_start", "1e400", "inf"),
+            ("lambda_div", "-1e400", "-inf"),
+            ("epsilon_div", "NaN", "nan"),
+            ("force_alpha", "Infinity", "inf"),
+            ("prior_periods", "[1e400, 12]", "inf"),
+        ],
+    )
+    def test_non_finite_number_fails_at_load(self, workspace, tmp_path, capsys, recwarn, key, text, bad):
+        raw = json.dumps(dict(workspace["raw"], out_dir=str(tmp_path / "out"), num_bases=2, top_k=2))
+        path = tmp_path / "c.json"
+        path.write_text(raw[:-1] + f', "{key}": {text}}}')
+        message = f"config key {key!r} needs finite numbers, got {bad}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(str(path))
+        capsys.readouterr()
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [str(w.message) for w in recwarn] == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestListElements:
@@ -656,6 +685,17 @@ class TestUsageErrors:
         assert captured.err == (
             f"error: freqlens {command}: argument --seed: too large for an int64: an integer of 300 digits\n"
         )
+
+    @pytest.mark.parametrize("command", ["train", "verify-axioms"])
+    def test_negative_seed_flag_is_one_line(self, command, workspace, tmp_path, capsys):
+        # the flag takes the seed rule of the config's seeds, before anything is written
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(workspace["raw"], out_dir=str(tmp_path / "out"))))
+        capsys.readouterr()
+        assert main([command, "--config", str(path), "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        assert captured.err == "error: flag --seed needs nonnegative seeds, got -1\n"
 
     def test_removed_freq_mode_key_is_a_one_line_usage_error(self, tmp_path, capsys):
         # the periods alone select the fixed-prior bank

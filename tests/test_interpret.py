@@ -1,6 +1,7 @@
 """Interpretation tests: periods, FFT baseline, Shapley oracle, faithfulness."""
 
 import csv
+import dataclasses
 import itertools
 import math
 import re
@@ -424,13 +425,33 @@ class TestDiscoveryReport:
         assert list(zip(seed.periods_steps, seed.selection_counts)) == expected
 
         path = tmp_path / "spectrum.csv"
-        export_spectrum_csv(path, model, [24.0], 0.15, seed.selection_counts)
+        export_spectrum_csv(path, model, seed)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [(float(r["period_steps"]), int(r["selection_count"])) for r in rows] == expected
         for r in rows:
             i = int(r["basis_index"])
             assert (float(r["period_steps"]), int(r["selection_count"])) == (periods[i], counts[i])
+
+    def test_spectrum_flags_the_discovery_match_only(self, tmp_path):
+        # forged: two bases within delta of the known period 4; only the
+        # closer one is discovery's match, so only its row is flagged
+        model = small_model()
+        model.bank.theta.data[:] = -8.0  # every other basis far beyond period 4
+        for basis, period in ((2, 4.4), (5, 3.9)):
+            t = (1.0 / period - model.bank.f_min) / (model.bank.f_max - model.bank.f_min)
+            model.bank.theta.data[basis] = math.log(t / (1 - t))
+        (found,) = build_discovery_report([(0, model)], [4.0], delta=0.15, test_inputs=self.X).seeds
+        (match,) = found.matches
+        assert match.matched and match.learned_period == pytest.approx(3.9)
+
+        path = tmp_path / "spectrum.csv"
+        export_spectrum_csv(path, model, found)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(int(r["basis_index"]), float(r["period_steps"])) for r in rows if r["matched"] == "1"] == [
+            (5, match.learned_period)
+        ]
 
 
 class TestVerifyAxioms:
@@ -499,7 +520,7 @@ class TestVerifyAxioms:
     def test_no_windows_rejected(self):
         # used to fail inside NumPy's max reduction
         model = small_model(seed=7)
-        with pytest.raises(ValueError, match="verify_axioms: no input windows"):
+        with pytest.raises(ValueError, match=r"no input windows: inputs have shape \(0, 16, 2\)"):
             verify_axioms(model, np.zeros((0, model.config.L, model.config.C)))
 
     def test_broken_head_bias_breaks_null_frequency(self):
@@ -523,7 +544,8 @@ class TestExports:
     def test_spectrum_csv(self, tmp_path):
         model = small_model(seed=9)
         path = tmp_path / "spectrum.csv"
-        export_spectrum_csv(path, model, known_periods_steps=[4.0], delta=0.2, counts=[0] * model.config.N)
+        (found,) = build_discovery_report([(0, model)], [4.0], 0.2, np.zeros((1, 16, 2))).seeds
+        export_spectrum_csv(path, model, found)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "basis_index,frequency,period_steps,selection_count,matched"
         assert len(lines) == 1 + model.config.N
@@ -535,3 +557,16 @@ class TestExports:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert lines[0] == "epoch,loss_pred,loss_div,loss_recon,loss_total,val_mse,tau,lr"
+
+    def test_loss_curves_columns_are_the_scalar_record_fields(self, tmp_path, monkeypatch):
+        # a field added to EpochRecord reaches the CSV with no second list of columns to edit
+        @dataclasses.dataclass
+        class Extended(EpochRecord):
+            share: float = 0.25
+
+        monkeypatch.setattr(interpret, "EpochRecord", Extended)
+        path = tmp_path / "loss.csv"
+        export_loss_curves_csv(path, TrainLog([Extended(0, 1.0, 0.1, 0.2, 1.3, 0.9, 1.0, 1e-3, [0.1])]))
+        header, row = path.read_text().splitlines()
+        assert header.split(",") == [f.name for f in dataclasses.fields(Extended) if f.name != "frequencies"]
+        assert header.endswith(",lr,share") and row == "0,1.0,0.1,0.2,1.3,0.9,1.0,0.001,0.25"
