@@ -26,12 +26,17 @@ almost-everywhere derivative of sorting.
 
 A subgraph that every training step rebuilds is one fused node, built
 with :func:`node` from its value, its parents and one backward rule:
-``relu_mlp`` and ``softmax`` here, the bank's frequencies, the bases,
-the straight-through weight, the diversity barrier and the
-reconstruction term in ``model`` and ``training``.  Each rule performs
-the chain rule's NumPy operations in the order the op-by-op graph
-performed them, reusing ``matmul``'s rule through ``_matmul_grads``, so
-a fused node's gradients have the bytes of the graph it replaces.
+``relu_mlp`` here; in ``model`` the bank's frequencies, the bases, the
+selection weights and the straight-through weight; in ``training`` the
+prediction error, the diversity barrier, the reconstruction term and
+the weighted total.  Each rule performs the chain rule's NumPy
+operations in the order the op-by-op graph performed them, reusing
+``matmul``'s rule through ``_matmul_grads`` and ``gather_rows``' through
+``_scatter_rows``, so a fused node's gradients have the bytes of the
+graph it replaces.  A rule may write into the arrays it allocated
+itself, never into its upstream gradient (``add`` hands the same array
+to both parents) or into an array saved from the forward (a tape can be
+walked twice).
 """
 
 from __future__ import annotations
@@ -56,7 +61,6 @@ __all__ = [
     "square",
     "sqrt",
     "sigmoid",
-    "softmax",
     "reshape",
     "transpose",
     "clip",
@@ -288,16 +292,17 @@ def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray, need_a: bool, nee
     if need_a:
         if a.ndim == 2 and b.ndim > 2:
             m, k = a.shape
-            ga = np.moveaxis(g, -2, 0).reshape(m, -1) @ np.swapaxes(b, -1, -2).reshape(-1, k)
+            rows_first = (g.ndim - 2, *range(g.ndim - 2), g.ndim - 1)  # np.moveaxis(g, -2, 0)
+            ga = g.transpose(rows_first).reshape(m, -1) @ b.swapaxes(-1, -2).reshape(-1, k)
         else:
-            bt = np.swapaxes(b, -1, -2)
+            bt = b.swapaxes(-1, -2)
             ga = _unbroadcast(np.multiply(g, bt, order="C") if g.shape[-1] == 1 else g @ bt, a.shape)
     if need_b:
         if b.ndim == 2 and a.ndim > 2:
             k, n = b.shape
             gb = a.reshape(-1, k).T @ g.reshape(-1, n)
         else:
-            at = np.swapaxes(a, -1, -2)
+            at = a.swapaxes(-1, -2)
             gb = _unbroadcast(np.multiply(at, g, order="C") if g.shape[-2] == 1 else at @ g, b.shape)
     return ga, gb
 
@@ -322,7 +327,8 @@ def relu_mlp(x, w1, w2) -> Tensor:
         gh, gw2 = _matmul_grads(h, w2.data, g, need_h, w2.requires_grad)
         gx = gw1 = None
         if need_h:
-            gx, gw1 = _matmul_grads(x.data, w1.data, gh * (pre > 0), x.requires_grad, w1.requires_grad)
+            gh *= pre > 0  # gh is this rule's own fresh product
+            gx, gw1 = _matmul_grads(x.data, w1.data, gh, x.requires_grad, w1.requires_grad)
         return gx, gw1, gw2
 
     return node(_matmul_value(h, w2.data), (x, w1, w2), backward_fn)
@@ -360,10 +366,9 @@ def einsum(subscripts: str, a, b) -> Tensor:
 def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
     if axis is None:
         return np.broadcast_to(g, shape)
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    if not keepdims:
-        for ax in sorted(a % len(shape) for a in axes):
-            g = np.expand_dims(g, ax)
+    if not keepdims:  # put the reduced axes back as size 1
+        axes = {a % len(shape) for a in (axis if isinstance(axis, tuple) else (axis,))}
+        g = g.reshape(tuple(1 if i in axes else n for i, n in enumerate(shape)))
     return np.broadcast_to(g, shape)
 
 
@@ -438,25 +443,6 @@ def clip(x, lo: float, hi: float) -> Tensor:
     return node(np.clip(x.data, lo, hi), (x,), backward_fn)
 
 
-def softmax(x, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``, shift-stabilized by the (constant) row max.
-
-    One node.  Its rule is the chain rule of ``e / e.sum(axis)`` with
-    ``e = exp(x - max)``, run in that graph's order: the quotient's two
-    shares of ``e``'s gradient are summed, then multiplied by ``e``.
-    """
-    x = _as_tensor(x)
-    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
-    total = e.sum(axis=axis, keepdims=True)
-
-    def backward_fn(g):
-        g_total = _unbroadcast(-g * e / (total * total), total.shape)
-        g_e = g / total + _expand_reduced(g_total, e.shape, axis, keepdims=True)
-        return (g_e * e,)
-
-    return node(e / total, (x,), backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # shape ops
 # ---------------------------------------------------------------------------
@@ -475,7 +461,11 @@ def reshape(x, shape) -> Tensor:
 def transpose(x, axes: Sequence[int] | None = None) -> Tensor:
     x = _as_tensor(x)
     out_data = x.data.transpose(axes)
-    inv = None if axes is None else np.argsort(axes)
+    inv = None
+    if axes is not None:  # the inverse permutation, without an array round trip
+        inv = [0] * x.ndim
+        for i, axis in enumerate(axes):
+            inv[axis] = i
 
     def backward_fn(g):
         return (g.transpose(inv),)
@@ -493,16 +483,27 @@ def gather_rows(x, index) -> Tensor:
     out_data = x.data[batch, idx]
 
     def backward_fn(g):
-        gx = np.zeros_like(x.data)
-        ordered = np.sort(idx, axis=1)
-        if (ordered[:, 1:] != ordered[:, :-1]).all():
-            # distinct indices per row: one buffered ``+=`` adds 0.0 + g, as np.add.at does
-            gx[batch, idx] += g
-        else:
-            np.add.at(gx, (batch, idx), g)
-        return (gx,)
+        return (_scatter_rows(g, idx, x.shape),)
 
     return node(out_data, (x,), backward_fn)
+
+
+def _scatter_rows(g: np.ndarray, index: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Gradient of ``gather_rows``: ``g`` [B, K, ...] added into zeros of ``shape`` at rows ``index`` [B, K].
+
+    ``np.add.at`` adds one number per slot fastest; a row of numbers per
+    slot is one assignment of ``0.0 + g`` (the sum ``np.add.at`` forms,
+    which turns -0.0 into +0.0) when each sample's indices are distinct.
+    """
+    gx = np.zeros(shape)
+    batch = np.arange(shape[0])[:, None]
+    if g.ndim > 2:
+        ordered = np.sort(index, axis=1)
+        if (ordered[:, 1:] != ordered[:, :-1]).all():
+            gx[batch, index] = g + 0.0
+            return gx
+    np.add.at(gx, (batch, index), g)
+    return gx
 
 
 # ---------------------------------------------------------------------------
@@ -522,23 +523,25 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
     if not loss.requires_grad:
         return {}
 
-    # a max-heap of node ids: outputs are born after their inputs, so the
-    # largest pending id has already received the share of every consumer
+    # a max-heap of node ids: outputs are born after their inputs, so
+    # the largest pending id has already received the share of every
+    # consumer.  Leaves are never pushed: their gradients stay in ``grads``.
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    heap = [(-loss.node_id, loss)]
+    heap = [] if loss._backward is None else [(-loss.node_id, loss)]
+    pop, push, get, take = heapq.heappop, heapq.heappush, grads.get, grads.pop
     while heap:
-        _, t = heapq.heappop(heap)
-        if t._backward is None:
-            continue
-        for parent, pg in zip(t._parents, t._backward(grads.pop(t.node_id))):
+        t = pop(heap)[1]
+        for parent, pg in zip(t._parents, t._backward(take(t.node_id))):
             if pg is None or not parent.requires_grad:
                 continue
-            acc = grads.get(parent.node_id)
+            pid = parent.node_id
+            acc = get(pid)
             if acc is None:
-                grads[parent.node_id] = pg
-                heapq.heappush(heap, (-parent.node_id, parent))
+                grads[pid] = pg
+                if parent._backward is not None:
+                    push(heap, (-pid, parent))
             else:
-                grads[parent.node_id] = acc + pg
+                grads[pid] = acc + pg
     return grads
 
 

@@ -46,6 +46,7 @@ __all__ = [
     "build_bases",
     "project",
     "apply_heads",
+    "selection_weights",
     "straight_through",
     "save_checkpoint",
     "load_checkpoint",
@@ -182,17 +183,25 @@ def build_bases(freqs: Tensor, phases: Tensor, L: int) -> Tensor:
         norms, kept = np.clip(roots, 1e-8, np.inf), (roots >= 1e-8) & (roots <= np.inf)
 
     def backward_fn(g):
-        g_norms = (-g * psi / (norms * norms)).sum(axis=1, keepdims=True)
+        g_psi = -g * psi
+        g_psi /= norms * norms
+        g_norms = g_psi.sum(axis=1, keepdims=True)
         if kept is not None:
             g_norms = g_norms * kept
         g_roots = g_norms * (0.5 / roots)
-        g_psi = g / norms + np.broadcast_to(g_roots, psi.shape) * (2.0 * psi)
-        g_angle = -g_psi * np.sin(angle)
+        np.multiply(psi, 2.0, out=g_psi)
+        g_psi *= g_roots
+        g_psi += g / norms
+        np.negative(g_psi, out=g_psi)
+        g_angle = np.sin(angle)
+        g_angle *= g_psi
         g_freqs = g_phases = None
         if freqs.requires_grad:
-            g_freqs = (g_angle * (2.0 * np.pi) * t).sum(axis=1, keepdims=True).reshape(freqs.shape)
+            np.multiply(g_angle, 2.0 * np.pi, out=g_psi)
+            g_psi *= t
+            g_freqs = g_psi.sum(axis=1).reshape(freqs.shape)
         if phases.requires_grad:
-            g_phases = g_angle.sum(axis=1, keepdims=True).reshape(phases.shape)
+            g_phases = g_angle.sum(axis=1).reshape(phases.shape)
         return g_freqs, g_phases
 
     return ad.node(psi / norms, (freqs, phases), backward_fn)
@@ -278,28 +287,59 @@ def apply_heads(c_sel: Tensor, w1: Tensor, w2: Tensor, out_shape: tuple[int, int
     return ad.transpose(out, (1, 0, 2)).reshape((b, k, *out_shape))
 
 
-def straight_through(contributions: Tensor, w_sel: Tensor) -> Tensor:
-    """``contributions * (w_sel - w_sel.detach() + 1)`` as one node.
+def selection_weights(scores: Tensor, noise: np.ndarray, tau: float) -> Tensor:
+    """Tempered softmax of the noisy scores, ``softmax((scores + noise) / tau)`` [B, N], as one node.
 
-    The weight's forward value is exactly 1, so the value is exactly
-    ``contributions`` for finite weights, and the prediction-loss
-    gradient still reaches the selection weights ``w_sel`` [B, K]
-    through the product.  The rule is the six-op graph's, in its order.
+    ``noise`` is a constant and ``tau`` a positive number.  The value is
+    the shift-stabilized ``e / e.sum(-1)`` with ``e = exp(z - max z)``,
+    ``z = (scores + noise) / tau``.  The rule is the chain rule of the
+    add -> divide -> softmax graph in its order: softmax's rule (the
+    quotient's two shares of ``e``'s gradient summed, then multiplied by
+    ``e``), divided by ``tau``; the add passes that on unchanged.
     """
-    b, k = w_sel.shape
-    ones = ((w_sel.data - w_sel.data) + 1.0).reshape((b, k, 1, 1))
+    z = (scores.data + noise) / tau
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    total = e.sum(axis=-1, keepdims=True)
+
+    def backward_fn(g):
+        g_total = -g * e
+        g_total /= total * total
+        g_e = g / total
+        g_e += g_total.sum(axis=-1, keepdims=True)
+        g_e *= e
+        g_e /= tau
+        return (g_e,)
+
+    return ad.node(e / total, (scores,), backward_fn)
+
+
+def straight_through(contributions: Tensor, weights: Tensor, selected: np.ndarray) -> Tensor:
+    """``contributions * (w_sel - w_sel.detach() + 1)`` as one node, ``w_sel`` gathered from ``weights``.
+
+    ``w_sel = weights[b, selected[b, k]]`` [B, K] is the selection
+    weight of each slot, gathered from ``weights`` [B, N] at the
+    constant indices ``selected``.  The weight's forward value is
+    exactly 1, so the value is exactly ``contributions`` for finite
+    weights, and the prediction-loss gradient still reaches
+    ``weights`` through the product.  The rule is the gather and
+    six-op graph's, in its order, and scatters with ``gather_rows``'
+    own rule.
+    """
+    b, k = selected.shape
+    w_sel = weights.data[np.arange(b)[:, None], selected]
+    ones = ((w_sel - w_sel) + 1.0).reshape((b, k, 1, 1))
     summed = tuple(i for i in (2, 3) if contributions.shape[i] != 1)  # the H and C axes
 
     def backward_fn(g):
-        g_w = g * contributions.data
-        if summed:
-            g_w = g_w.sum(axis=summed, keepdims=True)
-        return (
-            g * ones if contributions.requires_grad else None,
-            g_w.reshape((b, k)) if w_sel.requires_grad else None,
-        )
+        g_weights = None
+        if weights.requires_grad:
+            g_w = g * contributions.data
+            if summed:
+                g_w = g_w.sum(axis=summed, keepdims=True)
+            g_weights = ad._scatter_rows(g_w.reshape((b, k)), selected, weights.shape)
+        return g * ones if contributions.requires_grad else None, g_weights
 
-    return ad.node(contributions.data * ones, (contributions, w_sel), backward_fn)
+    return ad.node(contributions.data * ones, (contributions, weights), backward_fn)
 
 
 class FreqLens:
@@ -441,9 +481,12 @@ class FreqLens:
                 raise ValueError("training selection requires a temperature tau and an rng for Gumbel noise")
             if tau <= 0:
                 raise ValueError(f"temperature must be positive, got {tau}")
-            scores = scores + Tensor(_gumbel_noise(rng, scores.shape))
-            weights = ad.softmax(scores / tau, axis=-1)
-        selected = np.argsort(-scores.data, axis=1, kind="stable")[:, : cfg.K]
+            noise = _gumbel_noise(rng, scores.shape)
+            weights = selection_weights(scores, noise, tau)
+            ranked = scores.data + noise
+        else:
+            ranked = scores.data
+        selected = np.argsort(-ranked, axis=1, kind="stable")[:, : cfg.K]
         return selected, weights
 
     def head_contribution(self, c_sel: Tensor) -> Tensor:
@@ -482,7 +525,7 @@ class FreqLens:
         selected, weights = self.score_and_select(c, training, tau, rng)
         contributions = self.head_contribution(ad.gather_rows(c, selected))
         if training:
-            contributions = straight_through(contributions, ad.gather_rows(weights, selected))
+            contributions = straight_through(contributions, weights, selected)
         y_freq = contributions.sum(axis=1)
 
         y_res = self._residual(xt)

@@ -31,9 +31,11 @@ __all__ = [
     "TrainConfig",
     "EpochRecord",
     "TrainLog",
+    "prediction_loss",
     "diversity_loss",
     "orthogonality_loss",
     "reconstruction_loss",
+    "weighted_total",
     "total_loss",
     "Adam",
     "schedules",
@@ -111,6 +113,30 @@ class TrainLog:
 # loss terms
 # ---------------------------------------------------------------------------
 
+def prediction_loss(y_hat: Tensor, target) -> Tensor:
+    """Mean squared forecast error ``mean((y_hat - target)^2)`` as one node.
+
+    ``target`` is a constant.  The rule is the chain rule of the
+    subtract -> square -> mean graph: each element's share
+    ``g / count`` times ``2 (y_hat - target)``, the same products as
+    that graph's, so the gradient keeps its bytes.
+    """
+    target = np.asarray(target, dtype=np.float64)
+    try:
+        diff = y_hat.data - target
+    except ValueError:
+        raise ValueError(f"prediction_loss: shapes {y_hat.shape} and {target.shape} are not broadcastable") from None
+    squared = diff * diff
+    count = squared.size
+
+    def backward_fn(g):
+        g_diff = 2.0 * diff
+        g_diff *= g / count
+        return (ad._unbroadcast(g_diff, y_hat.shape),)
+
+    return ad.node(squared.mean(), (y_hat,), backward_fn)
+
+
 def diversity_loss(freqs: Tensor, epsilon: float = 1e-6) -> Tensor:
     """Log-barrier on consecutive gaps in sorted log-frequency space.
 
@@ -140,13 +166,17 @@ def diversity_loss(freqs: Tensor, epsilon: float = 1e-6) -> Tensor:
         raise ValueError("nonpositive gap after epsilon shift")
 
     def backward_fn(g):
-        g_gaps = np.broadcast_to(-g, shifted.shape) / shifted.size / shifted
-        lower, upper = np.zeros_like(logs), np.zeros_like(logs)
-        lower[:-1] += -g_gaps
-        upper[1:] += g_gaps
-        g_f = np.zeros_like(f)
-        g_f[order] += lower + upper
-        return (g_f / f,)
+        g_gaps = (-g / shifted.size) / shifted
+        # each log frequency's gaps: 0 - (gap above) + (0 + gap below), a
+        # sum that is never -0.0, so writing it through the permutation is
+        # the ``+=`` into zeros of the graph
+        g_logs = np.zeros_like(logs)
+        g_logs[:-1] -= g_gaps
+        g_logs[1:] += g_gaps + 0.0
+        g_f = np.empty_like(f)
+        g_f[order] = g_logs
+        g_f /= f
+        return (g_f,)
 
     return ad.node(-np.log(shifted).mean(), (freqs,), backward_fn)
 
@@ -179,7 +209,7 @@ def total_loss(model: FreqLens, output: ForwardOutput, target: np.ndarray,
     ``sum((r^T r) * (W W^T)) / (B*L*d)`` (``reconstruction_loss``):
     nothing ``[B, L, d]`` is built.  Returns the scalar loss and its components as plain floats.
     """
-    pred = ad.square(output.y_hat - Tensor(np.asarray(target, dtype=np.float64))).mean()
+    pred = prediction_loss(output.y_hat, target)
     if model.config.prior_periods is not None:
         reg = orthogonality_loss(output.coefficients.mean(axis=0))
     elif output.frequencies.size >= 2:
@@ -187,7 +217,7 @@ def total_loss(model: FreqLens, output: ForwardOutput, target: np.ndarray,
     else:
         reg = Tensor(0.0)  # a single frequency has no gaps to keep apart
     recon = reconstruction_loss(output.input_coefficients, output.bases, output.inputs, model.input_proj)
-    total = pred + weights.lambda_div * reg + weights.lambda_recon * recon
+    total = weighted_total(pred, reg, recon, weights)
     components = {
         "pred": float(pred.data),
         "div": float(reg.data),
@@ -195,6 +225,22 @@ def total_loss(model: FreqLens, output: ForwardOutput, target: np.ndarray,
         "total": float(total.data),
     }
     return total, components
+
+
+def weighted_total(pred: Tensor, reg: Tensor, recon: Tensor, weights: LossWeights) -> Tensor:
+    """``pred + lambda_div * reg + lambda_recon * recon`` as one node, summed left to right.
+
+    Each term's gradient is the upstream gradient times its weight (1
+    for ``pred``), the products the graph of two multiplies and two adds
+    formed.
+    """
+    lambda_div, lambda_recon = weights.lambda_div, weights.lambda_recon
+
+    def backward_fn(g):
+        return g, g * lambda_div, g * lambda_recon
+
+    value = pred.data + reg.data * lambda_div + recon.data * lambda_recon
+    return ad.node(value, (pred, reg, recon), backward_fn)
 
 
 def reconstruction_loss(xc: Tensor, psi_bar: Tensor, x: Tensor, w: Tensor) -> Tensor:
@@ -218,7 +264,7 @@ def reconstruction_loss(xc: Tensor, psi_bar: Tensor, x: Tensor, w: Tensor) -> Te
     tracked_r = xc.requires_grad or psi_bar.requires_grad
 
     def backward_fn(g):
-        g_prod = np.broadcast_to(g / count, gram_r.shape)
+        g_prod = g / count  # every entry of the [C, C] product's gradient
         g_xc = g_psi = g_w = None
         if w.requires_grad:
             g_w, g_wt = ad._matmul_grads(w.data, w.data.T, g_prod * gram_r, True, True)
@@ -277,6 +323,7 @@ class Adam:
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self.lr_scale = np.ones_like(self.flat)
+        self._scratch = (np.empty_like(self.flat), np.empty_like(self.flat))  # a step's temporaries
         self.slices, self._views, self._grad_views = [], [], []
         offset = 0
         for name, p in self.params:
@@ -318,12 +365,24 @@ class Adam:
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
         m, v = self.m, self.v
+        # step = lr * lr_scale * (m / bc1) / (sqrt(v / bc2) + eps), every
+        # product in that order, written into the two scratch vectors
+        a, b = self._scratch
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        m += a
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        step_lr = lr * self.lr_scale
-        self.flat -= step_lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        np.multiply(g, g, out=a)
+        a *= 1.0 - ADAM_BETA2
+        v += a
+        np.multiply(self.lr_scale, lr, out=a)
+        np.divide(m, bc1, out=b)
+        a *= b
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        self.flat -= a
 
 
 def schedules(epoch: int, total_epochs: int, config: TrainConfig) -> tuple[float, float]:

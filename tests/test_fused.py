@@ -1,14 +1,18 @@
 """Fused tape nodes against the op-by-op graphs they replaced.
 
-Each fused node -- the bank's frequencies, ``build_bases``, ``softmax``,
-the straight-through weight, ``relu_mlp``, the diversity barrier and the
-reconstruction term -- must give the value and the gradients of the graph
-it replaced, byte for byte, and match central differences.  Those graphs
+Each fused node -- the bank's frequencies, ``build_bases``, the selection
+weights, the straight-through weight, ``relu_mlp``, the prediction
+error, the diversity barrier, the reconstruction term and the weighted
+total -- must give the value and the gradients of the graph it
+replaced, byte for byte, and match central differences.  Those graphs
 are kept here as oracles.  They are built from the primitives only they
 use (``exp``, ``log``, ``cos``, ``relu``, negation, indexing and
 ``reconstruct``), which left ``freqlens`` when the fused nodes replaced
 their last callers; the primitives' own value and gradient tests moved
-here with them.
+here with them.  So did two earlier fused nodes that the selection and
+straight-through nodes absorbed, ``softmax`` and the straight-through
+weight of already gathered weights: each new node is checked against
+the graph of the old node too.
 """
 
 import math
@@ -23,11 +27,18 @@ from freqlens import autodiff as ad
 from freqlens import model as model_module
 from freqlens import training as training_module
 from freqlens.autodiff import Tensor, backward, check_gradients
-from freqlens.model import FreqLens, FrequencyBank, ModelConfig, build_bases, straight_through
-from freqlens.training import LossWeights, diversity_loss, reconstruction_loss, total_loss
+from freqlens.model import FreqLens, FrequencyBank, ModelConfig, build_bases, selection_weights, straight_through
+from freqlens.training import (
+    LossWeights,
+    diversity_loss,
+    prediction_loss,
+    reconstruction_loss,
+    total_loss,
+    weighted_total,
+)
 
 # ---------------------------------------------------------------------------
-# oracle primitives: the autodiff ops only the composed graphs below use
+# oracle primitives: the autodiff ops only the oracles below use
 # ---------------------------------------------------------------------------
 
 
@@ -76,6 +87,43 @@ def reconstruct(c, psi_bar):
     return ad.matmul(ad.transpose(psi_bar), c)
 
 
+def softmax(x, axis=-1):
+    """Softmax along ``axis`` as one node, shift-stabilized by the (constant) row max.
+
+    Its rule is the chain rule of ``e / e.sum(axis)`` with
+    ``e = exp(x - max)``, run in that graph's order: the quotient's two
+    shares of ``e``'s gradient are summed, then multiplied by ``e``.
+    """
+    x = ad._as_tensor(x)
+    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    total = e.sum(axis=axis, keepdims=True)
+
+    def backward_fn(g):
+        g_total = ad._unbroadcast(-g * e / (total * total), total.shape)
+        g_e = g / total + ad._expand_reduced(g_total, e.shape, axis, keepdims=True)
+        return (g_e * e,)
+
+    return ad.node(e / total, (x,), backward_fn)
+
+
+def gathered_straight_through(contributions, w_sel):
+    """``contributions * (w_sel - w_sel.detach() + 1)`` as one node, for gathered weights ``w_sel`` [B, K]."""
+    b, k = w_sel.shape
+    ones = ((w_sel.data - w_sel.data) + 1.0).reshape((b, k, 1, 1))
+    summed = tuple(i for i in (2, 3) if contributions.shape[i] != 1)
+
+    def backward_fn(g):
+        g_w = g * contributions.data
+        if summed:
+            g_w = g_w.sum(axis=summed, keepdims=True)
+        return (
+            g * ones if contributions.requires_grad else None,
+            g_w.reshape((b, k)) if w_sel.requires_grad else None,
+        )
+
+    return ad.node(contributions.data * ones, (contributions, w_sel), backward_fn)
+
+
 # ---------------------------------------------------------------------------
 # the composed graphs each fused node replaced
 # ---------------------------------------------------------------------------
@@ -107,14 +155,23 @@ def composed_softmax(x, axis=-1):
     return ad.div(e, e.sum(axis=axis, keepdims=True))
 
 
+def composed_selection_weights(scores, noise, tau):
+    return composed_softmax((scores + Tensor(noise)) / tau, axis=-1)
+
+
 def composed_relu_mlp(x, w1, w2):
     return ad.matmul(relu(ad.matmul(x, w1)), w2)
 
 
-def composed_straight_through(contributions, w_sel):
+def composed_straight_through(contributions, weights, selected):
+    w_sel = ad.gather_rows(weights, selected)
     b, k = w_sel.shape
     st_weight = w_sel - w_sel.detach() + 1.0  # forward value is exactly 1
     return contributions * st_weight.reshape((b, k, 1, 1))
+
+
+def composed_prediction_loss(y_hat, target):
+    return ad.square(y_hat - Tensor(np.asarray(target, dtype=np.float64))).mean()
 
 
 def composed_diversity_loss(freqs, epsilon=1e-6):
@@ -131,15 +188,21 @@ def composed_reconstruction_loss(xc, psi_bar, x, w):
     return (gram_r * gram_w).sum() / (r.shape[0] * width)
 
 
+def composed_weighted_total(pred, reg, recon, weights):
+    return pred + weights.lambda_div * reg + weights.lambda_recon * recon
+
+
 def use_composed_graphs(monkeypatch):
     """Route every fused node of the model and the loss through its composed graph."""
-    monkeypatch.setattr(ad, "softmax", composed_softmax)
     monkeypatch.setattr(ad, "relu_mlp", composed_relu_mlp)
     monkeypatch.setattr(FrequencyBank, "frequencies", composed_frequencies)
     monkeypatch.setattr(model_module, "build_bases", composed_build_bases)
+    monkeypatch.setattr(model_module, "selection_weights", composed_selection_weights)
     monkeypatch.setattr(model_module, "straight_through", composed_straight_through)
+    monkeypatch.setattr(training_module, "prediction_loss", composed_prediction_loss)
     monkeypatch.setattr(training_module, "diversity_loss", composed_diversity_loss)
     monkeypatch.setattr(training_module, "reconstruction_loss", composed_reconstruction_loss)
+    monkeypatch.setattr(training_module, "weighted_total", composed_weighted_total)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +276,15 @@ class TestOraclePrimitives:
         out = reconstruct(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 5))))
         assert out.shape == (2, 5, 4)
 
+    def test_softmax_rows_sum_to_one(self):
+        rng = np.random.default_rng(0)
+        out = softmax(Tensor(rng.normal(size=(4, 7))), axis=-1)
+        np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_softmax_handles_large_logits(self):
+        out = softmax(Tensor([1000.0, 0.0]), axis=-1)
+        np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-300)
+
 
 ORACLE_CASES = [
     ("exp", lambda t: exp(t).sum(), (5,)),
@@ -221,6 +293,7 @@ ORACLE_CASES = [
     ("relu", lambda t: relu(t).sum(), (5,)),
     ("neg", lambda t: neg(t).sum(), (5,)),
     ("slice", lambda t: ad.square(getitem(t, (slice(1, None), slice(None, 2)))).sum(), (3, 4)),
+    ("softmax", lambda t: ad.square(softmax(t, axis=-1)).sum(), (3, 4)),
 ]
 
 
@@ -343,7 +416,7 @@ class TestSoftmax:
     @given(case=softmax_draws())
     def test_equals_composed_graph(self, case):
         x, upstream, axis = case
-        assert_same_bytes(lambda t: ad.softmax(t, axis=axis), lambda t: composed_softmax(t, axis=axis),
+        assert_same_bytes(lambda t: softmax(t, axis=axis), lambda t: composed_softmax(t, axis=axis),
                           [tracked(x)], upstream)
 
     @settings(max_examples=15, deadline=None)
@@ -351,7 +424,44 @@ class TestSoftmax:
     def test_matches_finite_differences(self, case):
         x, upstream, axis = case
         x = x / np.abs(x).max()  # keep the differences off the saturated tails
-        assert_matches_finite_differences(lambda t: ad.softmax(t, axis=axis), [tracked(x)], upstream, 1e-6)
+        assert_matches_finite_differences(lambda t: softmax(t, axis=axis), [tracked(x)], upstream, 1e-6)
+
+
+@st.composite
+def selection_draws(draw):
+    """Scores [B, N], Gumbel noise, a temperature and an upstream gradient, B = 1 and N = 1 included."""
+    rng = np.random.default_rng(draw(SEEDS))
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 8)))
+    scale = draw(st.sampled_from([0.3, 3.0, 30.0]))
+    noise = -np.log(-np.log(rng.uniform(1e-12, 1.0 - 1e-12, size=shape)))
+    tau = draw(st.sampled_from([0.1, 0.7, 1.0, 2.5]))
+    return scale * rng.normal(size=shape), noise, tau, rng.normal(size=shape)
+
+
+class TestSelectionWeights:
+    @settings(max_examples=40, deadline=None)
+    @example(case=(np.array([[1.0]]), np.array([[0.3]]), 0.7, np.array([[2.0]])))  # N = 1
+    @example(case=(np.array([[1000.0, 0.0, -5.0]]), np.zeros((1, 3)), 0.1, np.array([[1.0, -2.0, 0.5]])))
+    @given(case=selection_draws())
+    def test_equals_composed_graph(self, case):
+        scores, noise, tau, upstream = case
+        fused = lambda s: selection_weights(s, noise, tau)  # noqa: E731
+        assert_same_bytes(fused, lambda s: composed_selection_weights(s, noise, tau), [tracked(scores)], upstream)
+        # and the graph of the fused softmax it absorbed
+        assert_same_bytes(fused, lambda s: softmax((s + Tensor(noise)) / tau), [tracked(scores)], upstream)
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=selection_draws())
+    def test_matches_finite_differences(self, case):
+        scores, noise, tau, upstream = case
+        scores = scores / np.abs(scores).max() * tau  # keep the differences off the saturated tails
+        assert_matches_finite_differences(lambda s: selection_weights(s, noise, tau), [tracked(scores)],
+                                          upstream, 1e-6)
+
+    def test_untracked_scores_give_a_constant(self):
+        out = selection_weights(Tensor(np.ones((2, 3))), np.zeros((2, 3)), 0.5)
+        assert not out.requires_grad and out._backward is None
+        np.testing.assert_allclose(out.data, 1.0 / 3.0, rtol=1e-15)
 
 
 @st.composite
@@ -400,41 +510,114 @@ class TestReluMlp:
 
 @st.composite
 def straight_through_draws(draw):
+    """Contributions [B, K, H, C], weights [B, N], slot indices [B, K] and an upstream gradient."""
     rng = np.random.default_rng(draw(SEEDS))
     b, k, h, c = (draw(st.integers(1, n)) for n in (5, 4, 3, 3))
-    weights = rng.dirichlet(np.ones(k), size=b)
-    return rng.normal(size=(b, k, h, c)), weights, rng.normal(size=(b, k, h, c))
+    n = k + draw(st.integers(0, 3))
+    if draw(st.booleans()):  # distinct per row, as the model's top-K gives
+        selected = np.argsort(rng.normal(size=(b, n)), axis=1)[:, :k]
+    else:  # repeats scatter with np.add.at
+        selected = rng.integers(0, n, size=(b, k))
+    weights = rng.dirichlet(np.ones(n), size=b)
+    return rng.normal(size=(b, k, h, c)), weights, selected, rng.normal(size=(b, k, h, c))
 
 
 class TestStraightThrough:
     @settings(max_examples=40, deadline=None)
-    @example(case=(np.ones((1, 1, 1, 1)), np.ones((1, 1)), -np.ones((1, 1, 1, 1))))
+    @example(case=(np.ones((1, 1, 1, 1)), np.ones((1, 1)), np.zeros((1, 1), dtype=int), -np.ones((1, 1, 1, 1))))
     @given(case=straight_through_draws())
     def test_equals_composed_graph(self, case):
-        contributions, weights, upstream = case
-        assert_same_bytes(straight_through, composed_straight_through,
-                          [tracked(contributions), tracked(weights)], upstream)
+        contributions, weights, selected, upstream = case
+        fused = lambda c, w: straight_through(c, w, selected)  # noqa: E731
+        inputs = [tracked(contributions), tracked(weights)]
+        assert_same_bytes(fused, lambda c, w: composed_straight_through(c, w, selected), inputs, upstream)
+        # and the graph of the gather and the fused weight it absorbed
+        assert_same_bytes(fused, lambda c, w: gathered_straight_through(c, ad.gather_rows(w, selected)),
+                          inputs, upstream)
 
     @settings(max_examples=15, deadline=None)
     @given(case=straight_through_draws())
     def test_matches_finite_differences(self, case):
         # the value does not move with the weights; their gradient is the
         # derivative of ``contributions * w_sel``, the estimator's surrogate
-        contributions, weights, upstream = case
-        b, k = weights.shape
+        contributions, weights, selected, upstream = case
+        b, k = selected.shape
         inputs = [tracked(contributions), tracked(weights)]
-        assert_matches_finite_differences(straight_through, [inputs[0], Tensor(weights)], upstream, 1e-6)
-        _, (_, g_weights) = value_and_gradients(straight_through, inputs, upstream)
-        assert check_gradients(lambda w: (Tensor(contributions) * w.reshape((b, k, 1, 1)) * Tensor(upstream)).sum(),
-                               Tensor(weights)) < 1e-6
-        surrogate = (contributions * upstream).sum(axis=(2, 3))
-        np.testing.assert_allclose(g_weights, surrogate, rtol=1e-12, atol=1e-15)
+        fused = lambda c, w: straight_through(c, w, selected)  # noqa: E731
+        assert_matches_finite_differences(fused, [inputs[0], Tensor(weights)], upstream, 1e-6)
+        _, (_, g_weights) = value_and_gradients(fused, inputs, upstream)
+        surrogate = lambda w: (  # noqa: E731
+            Tensor(contributions) * ad.gather_rows(w, selected).reshape((b, k, 1, 1)) * Tensor(upstream)
+        ).sum()
+        assert check_gradients(surrogate, Tensor(weights)) < 1e-6
+        want = np.zeros_like(weights)
+        np.add.at(want, (np.arange(b)[:, None], selected), (contributions * upstream).sum(axis=(2, 3)))
+        np.testing.assert_allclose(g_weights, want, rtol=1e-12, atol=1e-15)
 
     def test_value_is_exactly_the_contributions(self):
         rng = np.random.default_rng(3)
         contributions = rng.normal(size=(4, 3, 2, 2))
-        out = straight_through(tracked(contributions), tracked(rng.dirichlet(np.ones(3), size=4)))
+        selected = np.argsort(rng.normal(size=(4, 5)), axis=1)[:, :3]
+        out = straight_through(tracked(contributions), tracked(rng.dirichlet(np.ones(5), size=4)), selected)
         assert out.data.tobytes() == contributions.tobytes()
+
+
+@st.composite
+def prediction_draws(draw):
+    """Forecast [B, H, C], target and upstream gradient; B = 1 and exact hits (zero error) included."""
+    rng = np.random.default_rng(draw(SEEDS))
+    shape = tuple(draw(st.integers(1, n)) for n in (5, 6, 3))
+    y_hat = rng.normal(size=shape)
+    target = rng.normal(size=shape)
+    if draw(st.booleans()):
+        target[0] = y_hat[0]
+    return y_hat, target, np.array(draw(st.sampled_from([1.0, 0.37, -2.0])))
+
+
+class TestPredictionLoss:
+    @settings(max_examples=40, deadline=None)
+    @given(case=prediction_draws())
+    def test_equals_composed_graph(self, case):
+        y_hat, target, upstream = case
+        assert_same_bytes(lambda y: prediction_loss(y, target), lambda y: composed_prediction_loss(y, target),
+                          [tracked(y_hat)], upstream)
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=prediction_draws())
+    def test_matches_finite_differences(self, case):
+        y_hat, target, upstream = case
+        assert_matches_finite_differences(lambda y: prediction_loss(y, target), [tracked(y_hat)], upstream, 1e-6)
+
+    def test_shape_error_names_both_shapes(self):
+        with pytest.raises(ValueError, match=r"prediction_loss: shapes \(2, 3, 1\) and \(2, 4, 1\)"):
+            prediction_loss(Tensor(np.ones((2, 3, 1))), np.ones((2, 4, 1)))
+
+
+@st.composite
+def total_draws(draw):
+    """The three loss terms and the weights; an untracked zero ``reg`` is the one-basis model's."""
+    rng = np.random.default_rng(draw(SEEDS))
+    pred, reg, recon = rng.uniform(0.0, 3.0, size=3)
+    weights = LossWeights(lambda_div=draw(st.sampled_from([0.0, 0.01, 0.7])),
+                          lambda_recon=draw(st.sampled_from([0.0, 0.1, 1.0])))
+    track_reg = draw(st.booleans())
+    inputs = [tracked(pred), tracked(reg) if track_reg else Tensor(0.0), tracked(recon)]
+    return inputs, weights, np.array(draw(st.sampled_from([1.0, -0.5])))
+
+
+class TestWeightedTotal:
+    @settings(max_examples=40, deadline=None)
+    @given(case=total_draws())
+    def test_equals_composed_graph(self, case):
+        inputs, weights, upstream = case
+        assert_same_bytes(lambda p, r, c: weighted_total(p, r, c, weights),
+                          lambda p, r, c: composed_weighted_total(p, r, c, weights), inputs, upstream)
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=total_draws())
+    def test_matches_finite_differences(self, case):
+        inputs, weights, upstream = case
+        assert_matches_finite_differences(lambda p, r, c: weighted_total(p, r, c, weights), inputs, upstream, 1e-6)
 
 
 @st.composite
@@ -556,8 +739,9 @@ class TestTrainingStep:
 
     @pytest.mark.parametrize(
         "overrides",
-        [dict(N=2, K=2, prior_periods=(24.0, 12.0)), dict(force_alpha=1.0), dict(force_alpha=0.3), dict(C=3)],
-        ids=["fixed_prior", "force_alpha_1", "force_alpha_0.3", "three_channels"],
+        [dict(N=2, K=2, prior_periods=(24.0, 12.0)), dict(force_alpha=1.0), dict(force_alpha=0.3), dict(C=3),
+         dict(K=1)],
+        ids=["fixed_prior", "force_alpha_1", "force_alpha_0.3", "three_channels", "one_slot"],
     )
     @pytest.mark.parametrize("batch", [1, 32], ids=["B1", "B32"])
     def test_acceptance_config_variants(self, overrides, batch):
@@ -566,9 +750,14 @@ class TestTrainingStep:
 
 
 class TestTapeSize:
-    """One training step's tape at the acceptance config, so a regression shows here."""
+    """Tapes at the acceptance config, so a regression shows here."""
 
-    FUSED_STEP_TENSORS = 42  # forward 30 + total_loss 12; the op-by-op graphs took 93
+    # forward 25 + total_loss 4; the op-by-op graphs took 93, the fused
+    # nodes before the selection, straight-through and loss nodes 42
+    FUSED_STEP_TENSORS = 29
+    # an evaluation forward builds no selection weights and no
+    # straight-through weight; the bases take 2 when the cache misses
+    EVAL_FORWARD_TENSORS = 21
 
     @staticmethod
     def tensors_taken(run):
@@ -576,8 +765,12 @@ class TestTapeSize:
         result = run()
         return Tensor(0.0).node_id - start - 1, result
 
+    @staticmethod
+    def acceptance_model():
+        return FreqLens(ModelConfig(L=96, H=24, C=1, d=32, N=16, K=4, seed=42))
+
     def acceptance_step(self):
-        model = FreqLens(ModelConfig(L=96, H=24, C=1, d=32, N=16, K=4, seed=42))
+        model = self.acceptance_model()
         rng = np.random.default_rng(0)
         x, y = rng.normal(size=(32, 96, 1)), rng.normal(size=(32, 24, 1))
 
@@ -590,6 +783,13 @@ class TestTapeSize:
     def test_training_step_tensor_count(self):
         _, count, _ = self.acceptance_step()
         assert count == self.FUSED_STEP_TENSORS
+
+    def test_evaluation_forward_tensor_count(self):
+        model = self.acceptance_model()
+        x = np.random.default_rng(0).normal(size=(32, 96, 1))
+        fresh, _ = self.tensors_taken(lambda: model.forward(x))
+        cached, _ = self.tensors_taken(lambda: model.forward(x))
+        assert (fresh, cached) == (self.EVAL_FORWARD_TENSORS + 2, self.EVAL_FORWARD_TENSORS)
 
     def test_backward_returns_exactly_the_parameter_gradients(self):
         model, _, loss = self.acceptance_step()

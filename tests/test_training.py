@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -277,6 +278,23 @@ class TestAdam:
                 assert p.data.tobytes() == plain[name].data.tobytes(), (step, name)
                 assert opt.m[sl].tobytes() == ref.m[name].tobytes(), (step, name)
                 assert opt.v[sl].tobytes() == ref.v[name].tobytes(), (step, name)
+
+    def test_step_allocates_no_parameter_sized_temporary(self):
+        # the update runs in two scratch vectors the optimizer owns; what a
+        # step still allocates is the finiteness check's bool mask (1 byte a
+        # parameter) and small objects, far below one float64 vector
+        model = FreqLens(ModelConfig(L=96, H=24, C=1, d=32, N=16, K=4, seed=0))
+        opt = Adam(model.parameters(), FreqLens.frequency_parameter_names())
+        rng = np.random.default_rng(0)
+        grads = {p.node_id: rng.normal(size=p.shape) for _, p in model.parameters()}
+        opt.step(grads, lr=1e-3)  # warm-up
+        tracemalloc.start()
+        try:
+            opt.step(grads, lr=1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * opt.flat.size, peak
 
     def test_rebound_parameter_is_refused(self):
         a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
