@@ -29,14 +29,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .data import SeriesTable, SplitSpec, WindowSet, fit_apply_zscore, load_csv, make_windows, save_csv, synth_series
-from .interpret import (
-    alpha_report,
-    build_discovery_report,
-    export_loss_curves_csv,
-    export_spectrum_csv,
-    faithfulness_test,
-    verify_axioms,
-)
+from .interpret import alpha_report, build_discovery_report, export_spectrum_csv, faithfulness_test, verify_axioms
 from .model import FreqLens, ModelConfig, load_checkpoint, save_checkpoint
 from .stats import compute_metrics, paired_ttest
 from .training import LossWeights, NonFiniteGradientError, TrainConfig, train
@@ -278,7 +271,7 @@ def _out_dir(cfg: RunConfig, args) -> Path:
     return out
 
 
-def _load_model(cfg: RunConfig, path, channels: int) -> tuple[FreqLens, int | None]:
+def _load_model(cfg: RunConfig, path, channels: int) -> tuple[FreqLens, int]:
     """Model and seed of checkpoint ``path``, whose (L, H, C) must match the configured data."""
     model, seed = load_checkpoint(path)
     shape = (model.config.L, model.config.H, model.config.C)
@@ -325,6 +318,7 @@ def _dump_json(path: Path, payload) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(cfg: RunConfig, args) -> int:
+    """write a synthetic series as CSV"""
     periods = cfg.synth_periods
     amplitudes = cfg.synth_amplitudes or [1.0] * len(periods)
     phases = cfg.synth_phases or [0.0] * len(periods)
@@ -345,6 +339,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
+    """train one model per seed"""
     seeds = _seeds(cfg, args.seed)
     windows = _load_windows(cfg, "train", "val")
     channels = windows["train"].inputs.shape[2]
@@ -358,13 +353,14 @@ def cmd_train(cfg: RunConfig, args) -> int:
         trained, log = train(FreqLens(model_config), windows["train"], windows["val"], train_config, weights)
         save_checkpoint(trained, out / f"checkpoint-{seed}.ckpt", seed=seed)
         log.save(out / f"trainlog-{seed}.jsonl")
-        export_loss_curves_csv(out / f"losscurves-{seed}.csv", log)
+        log.save_csv(out / f"losscurves-{seed}.csv")
         best = min(r.val_mse for r in log.records)
         print(f"seed {seed}: {len(log.records)} epochs, best validation MSE {best:.6f}")
     return EXIT_OK
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
+    """metrics of each checkpoint on a split"""
     windows = _load_windows(cfg, args.split)
     dataset = windows[args.split]
     run_dir = Path(args.run)
@@ -386,6 +382,8 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 
 
 def cmd_compare(args) -> int:
+    """paired t-test between two runs' per-seed metrics"""
+
     def read_metrics(path):
         try:
             with open(path) as fh:
@@ -398,9 +396,9 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"{path} is not a metrics file: it has no 'per_seed' object")
         return per_seed
 
-    def metric_values(path, per_seed, seeds):
+    def metric_values(path, per_seed):
         values = []
-        for s in seeds:
+        for s in shared:
             value = per_seed[s].get(args.metric) if isinstance(per_seed[s], dict) else None
             if not isinstance(value, (int, float)):
                 raise ConfigError(f"{path}: seed {s} has no numeric {args.metric!r}")
@@ -411,13 +409,14 @@ def cmd_compare(args) -> int:
     shared = sorted(set(a) & set(b), key=int)
     if len(shared) < 2:
         raise ConfigError("compare needs at least two shared seeds between the two runs")
-    result = paired_ttest(metric_values(args.a, a, shared), metric_values(args.b, b, shared))
+    result = paired_ttest(metric_values(args.a, a), metric_values(args.b, b))
     payload = {"metric": args.metric, "seeds": [int(s) for s in shared], **asdict(result)}
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_discover(cfg: RunConfig, args) -> int:
+    """match learned periods against known cycles"""
     test_inputs = _load_windows(cfg, "test")["test"].inputs
     run_dir = Path(args.run)
     if not cfg.known_periods:
@@ -435,8 +434,8 @@ def cmd_discover(cfg: RunConfig, args) -> int:
     report = build_discovery_report(seeded, known_steps, delta=cfg.delta, test_inputs=test_inputs)
     out = _out_dir(cfg, args)
     _dump_json(out / "discovery.json", asdict(report))
-    for (seed, model), found in zip(seeded, report.seeds):
-        export_spectrum_csv(out / f"spectrum-{seed}.csv", model, found)
+    for found in report.seeds:
+        export_spectrum_csv(out / f"spectrum-{found.seed}.csv", found)
     gates = alpha_report([m for _, m in seeded])
     _dump_json(out / "alpha.json", asdict(gates))
     for summary in report.summary:
@@ -450,6 +449,7 @@ def cmd_discover(cfg: RunConfig, args) -> int:
 
 
 def cmd_attribute(cfg: RunConfig, args) -> int:
+    """export per-frequency attributions of one window"""
     windows = _load_windows(cfg, args.split)
     dataset = windows[args.split]
     if not 0 <= args.index < dataset.inputs.shape[0]:
@@ -486,6 +486,7 @@ def cmd_attribute(cfg: RunConfig, args) -> int:
 
 
 def cmd_faithfulness(cfg: RunConfig, args) -> int:
+    """perturbation test of attribution faithfulness on the first 64 test windows"""
     test_inputs = _load_windows(cfg, "test")["test"].inputs
     model, seed = _load_model(cfg, args.checkpoint, test_inputs.shape[2])
     results = faithfulness_test(model, test_inputs, list(cfg.faithfulness_k))
@@ -502,6 +503,7 @@ def cmd_faithfulness(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify_axioms(cfg: RunConfig, args) -> int:
+    """check the attribution axioms and the Shapley oracle"""
     if args.checkpoint is not None:
         model, _ = load_checkpoint(args.checkpoint)
     else:
@@ -547,36 +549,37 @@ def build_parser() -> argparse.ArgumentParser:
         "split": dict(default="test", choices=("train", "val", "test")),
     }
 
-    def command(name, help_text, *flags):
-        p = sub.add_parser(name, help=help_text)
+    def command(name, func, *flags):
+        """Subcommand ``name``, helped by ``func``'s docstring, that calls ``func`` (given the config if it takes one)."""
+        p = sub.add_parser(name, help=func.__doc__)
         for flag in flags:
             p.add_argument(f"--{flag}", **shared[flag])
+        if "config" in flags:
+            p.set_defaults(func=lambda args: func(load_config(args.config), args))
+        else:
+            p.set_defaults(func=func)
         return p
 
-    command("synth", "write a synthetic series as CSV", "config", "out")
+    command("synth", cmd_synth, "config", "out")
 
-    p = command("train", "train one model per seed", "config", "out")
+    p = command("train", cmd_train, "config", "out")
     p.add_argument("--seed", type=int64, help="single seed overriding the config list")
 
-    command("evaluate", "metrics of each checkpoint on a split", "config", "run", "split")
+    command("evaluate", cmd_evaluate, "config", "run", "split")
 
-    p = command("compare", "paired t-test between two runs' per-seed metrics")
+    p = command("compare", cmd_compare)
     p.add_argument("--a", required=True, help="metrics JSON of run A (from evaluate)")
     p.add_argument("--b", required=True, help="metrics JSON of run B")
     p.add_argument("--metric", default="mse", choices=("mse", "mae", "rmse"))
 
-    command("discover", "match learned periods against known cycles", "config", "out", "run")
+    command("discover", cmd_discover, "config", "out", "run")
 
-    p = command("attribute", "export per-frequency attributions of one window", "config", "out", "checkpoint", "split")
+    p = command("attribute", cmd_attribute, "config", "out", "checkpoint", "split")
     p.add_argument("--index", type=int, required=True, help="window index within the split")
 
-    command(
-        "faithfulness",
-        "perturbation test of attribution faithfulness on the first 64 test windows",
-        "config", "out", "checkpoint",
-    )
+    command("faithfulness", cmd_faithfulness, "config", "out", "checkpoint")
 
-    p = command("verify-axioms", "check the attribution axioms and the Shapley oracle", "config")
+    p = command("verify-axioms", cmd_verify_axioms, "config")
     model_source = p.add_mutually_exclusive_group()
     model_source.add_argument("--seed", type=int64, help="seed of the random model checked without --checkpoint "
                               "(default: the first config seed)")
@@ -585,23 +588,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-COMMANDS = {
-    "synth": cmd_synth,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "discover": cmd_discover,
-    "attribute": cmd_attribute,
-    "faithfulness": cmd_faithfulness,
-    "verify-axioms": cmd_verify_axioms,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "compare":  # the one command that reads no config
-            return cmd_compare(args)
-        return COMMANDS[args.command](load_config(args.config), args)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except ConfigError as exc:

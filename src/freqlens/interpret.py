@@ -13,14 +13,13 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .atomic import atomic_write
 from .autodiff import Tensor
 from .model import FreqLens, apply_heads
-from .training import EpochRecord
 
 __all__ = [
     "PeriodMatch",
@@ -40,7 +39,6 @@ __all__ = [
     "build_discovery_report",
     "verify_axioms",
     "export_spectrum_csv",
-    "export_loss_curves_csv",
 ]
 
 
@@ -59,27 +57,41 @@ def periods_from_frequencies(freqs) -> np.ndarray:
 @dataclass
 class PeriodMatch:
     known_period: float
+    basis_index: int  # position of the learned period in the list matched against
     learned_period: float
     relative_error: float
     matched: bool
 
 
 def match_known_periods(learned, known, delta: float = 0.15) -> list[PeriodMatch]:
-    """Pair each known period with its closest learned period.
+    """Pair each known period with its own learned period.
 
-    A pair counts as a match when |learned - known| / known < delta.
-    Both lists must share a unit (steps or physical); matching is
-    scale-invariant, so either works as long as it is consistent.
+    Pairs are taken in ascending relative error |learned - known| / known,
+    each joining a known period not yet paired to a learned period not yet
+    taken.  So a learned period that is the closest of two known periods
+    goes to the one it is relatively closer to, and the other takes its
+    closest remaining learned period.  A pair counts as a match when its
+    error is below ``delta``.  A known period left over when the learned
+    periods run out is reported against its closest learned period,
+    unmatched, so no learned period is matched twice.  Both lists must
+    share a unit (steps or physical); matching is scale-invariant, so
+    either works as long as it is consistent.
     """
     learned = np.asarray(learned, dtype=np.float64)
     if learned.size == 0:
         raise ValueError("no learned periods to match")
+    known = np.asarray(known, dtype=np.float64)
+    errors = np.abs(learned[None, :] - known[:, None]) / known[:, None]  # [known, learned]
+    paired: dict[int, int] = {}
+    for pair in np.argsort(errors, axis=None, kind="stable"):  # ties: earlier known, then earlier learned
+        j, i = divmod(int(pair), learned.size)
+        if j not in paired and i not in paired.values():
+            paired[j] = i
     out = []
-    for k in np.asarray(known, dtype=np.float64):
-        errors = np.abs(learned - k) / k
-        best = int(np.argmin(errors))
-        err = float(errors[best])
-        out.append(PeriodMatch(float(k), float(learned[best]), err, err < delta))
+    for j, k in enumerate(known):
+        i = paired.get(j, int(np.argmin(errors[j])))
+        err = float(errors[j, i])
+        out.append(PeriodMatch(float(k), i, float(learned[i]), err, j in paired and err < delta))
     return out
 
 
@@ -340,10 +352,14 @@ def selection_counts(model: FreqLens, inputs) -> np.ndarray:
 
 @dataclass
 class SeedDiscovery:
+    """One seed's bases in ascending period order, one entry per basis in each list, and its matches."""
+
     seed: int
+    basis_index: list[int]
+    frequencies: list[float]
     periods_steps: list[float]  # ascending
-    matches: list[PeriodMatch]
-    selection_counts: list[int]  # in the order of periods_steps
+    selection_counts: list[int]
+    matches: list[PeriodMatch]  # one per known period, naming its basis by index
 
 
 @dataclass
@@ -362,31 +378,28 @@ class DiscoveryReport:
     summary: list[KnownPeriodSummary] = field(default_factory=list)
 
 
-def _by_period(model: FreqLens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bank frequencies, their periods, and the basis indices in ascending period order."""
-    freqs = model.bank.frequencies().data
-    periods = periods_from_frequencies(freqs)
-    return freqs, periods, np.argsort(periods, kind="stable")
-
-
 def build_discovery_report(seeded_models, known_periods_steps, delta: float, test_inputs) -> DiscoveryReport:
     """Cross-seed discovery table: learned periods vs known cycles.
 
     ``seeded_models`` is a sequence of (seed, model).  Each seed lists
-    its periods in ascending order and, in the same order, how often
-    each basis is selected over ``test_inputs``.  Per known period, the
-    summary aggregates the matched seeds only.
+    its bases in ascending period order, with their frequencies, periods
+    and how often each is selected over ``test_inputs``.  Per known
+    period, the summary aggregates the matched seeds only.
     """
     known = [float(k) for k in known_periods_steps]
     report = DiscoveryReport(delta=delta, known_periods=known)
     for seed, model in seeded_models:
-        _, periods, order = _by_period(model)
+        freqs = model.bank.frequencies().data
+        periods = periods_from_frequencies(freqs)
+        order = np.argsort(periods, kind="stable")
         report.seeds.append(
             SeedDiscovery(
                 seed=int(seed),
+                basis_index=order.tolist(),
+                frequencies=freqs[order].tolist(),
                 periods_steps=periods[order].tolist(),
-                matches=match_known_periods(periods, known, delta=delta),
                 selection_counts=selection_counts(model, test_inputs)[order].tolist(),
+                matches=match_known_periods(periods, known, delta=delta),
             )
         )
     for j, k in enumerate(known):
@@ -476,28 +489,20 @@ def verify_axioms(model: FreqLens, inputs=None, tol: float = 1e-9) -> dict[str, 
 # plot-ready CSV exports
 # ---------------------------------------------------------------------------
 
-def export_spectrum_csv(path, model: FreqLens, discovery: SeedDiscovery) -> None:
+def export_spectrum_csv(path, discovery: SeedDiscovery) -> None:
     """Per-basis rows of (basis index, frequency, period, selection count, matched flag).
 
-    ``discovery`` is the model's entry of ``build_discovery_report``:
-    rows run in its ascending period order with its selection counts,
-    and a row is flagged matched when its basis is the learned period
-    of one of its matches, so the flags are ``discovery.json``'s.
+    ``discovery`` is one seed's entry of ``build_discovery_report``: one
+    row per basis in its ascending period order, flagged matched when
+    one of its matches names the basis, so the flags are
+    ``discovery.json``'s.
     """
-    freqs, periods, order = _by_period(model)
-    matched = {discovery.periods_steps.index(m.learned_period) for m in discovery.matches if m.matched}
+    matched = {m.basis_index for m in discovery.matches if m.matched}
+    table = zip(
+        discovery.basis_index, discovery.frequencies, discovery.periods_steps, discovery.selection_counts, strict=True
+    )
     with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["basis_index", "frequency", "period_steps", "selection_count", "matched"])
-        for row, (i, count) in enumerate(zip(order, discovery.selection_counts, strict=True)):
-            writer.writerow([int(i), repr(float(freqs[i])), repr(float(periods[i])), int(count), int(row in matched)])
-
-
-def export_loss_curves_csv(path, log) -> None:
-    """Per-epoch scalar fields of the log's records (every ``EpochRecord`` field but the frequencies)."""
-    columns = [f.name for f in fields(EpochRecord) if f.name != "frequencies"]
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for r in log.records:
-            writer.writerow([getattr(r, name) for name in columns])
+        for i, freq, period, count in table:
+            writer.writerow([i, repr(freq), repr(period), count, int(i in matched)])

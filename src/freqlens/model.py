@@ -646,8 +646,10 @@ def save_checkpoint(model: FreqLens, path, seed: int | None = None) -> None:
             put(f"arrays/{name}.npy", buf.getvalue())
 
 
-def load_checkpoint(path) -> tuple[FreqLens, int | None]:
+def load_checkpoint(path) -> tuple[FreqLens, int]:
     """Model and seed from a checkpoint written by ``save_checkpoint``.
+
+    A checkpoint saved without a seed reads as its ``ModelConfig.seed``.
 
     Anything that is not a readable checkpoint -- a missing file, a
     directory, a file that is not a zip, manifest JSON that does not
@@ -676,4 +678,5 @@ def load_checkpoint(path) -> tuple[FreqLens, int | None]:
             model.load_state_dict(state)
     except (OSError, zipfile.BadZipFile, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"cannot load checkpoint {path}: {exc}") from exc
-    return model, manifest.get("seed")
+    seed = manifest.get("seed")
+    return model, model.config.seed if seed is None else seed

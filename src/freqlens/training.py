@@ -13,8 +13,9 @@ noise, and initialization all derive from it.
 
 from __future__ import annotations
 
+import csv
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Iterable
 
 import numpy as np
@@ -107,6 +108,15 @@ class TrainLog:
     def save(self, path) -> None:
         with atomic_write(path) as fh:
             fh.write(self.to_jsonl())
+
+    def save_csv(self, path) -> None:
+        """The loss curves: one row per record of its scalar fields (every ``EpochRecord`` field but the frequencies)."""
+        columns = [f.name for f in fields(EpochRecord) if f.name != "frequencies"]
+        with atomic_write(path) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for r in self.records:
+                writer.writerow([getattr(r, name) for name in columns])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from freqlens import atomic, cli
 from freqlens.atomic import atomic_write
 from freqlens.data import save_csv, synth_series
-from freqlens.interpret import build_discovery_report, export_loss_curves_csv, export_spectrum_csv
+from freqlens.interpret import build_discovery_report, export_spectrum_csv
 from freqlens.model import FreqLens, ModelConfig, save_checkpoint
 from freqlens.training import EpochRecord, TrainLog
 
@@ -42,13 +42,13 @@ def _log():
 def _spectrum(path):
     model = FreqLens(ModelConfig(L=8, H=2, C=1, d=2, N=2, K=1))
     (found,) = build_discovery_report([(0, model)], [24.0], 0.15, np.zeros((1, 8, 1))).seeds
-    export_spectrum_csv(path, model, found)
+    export_spectrum_csv(path, found)
 
 
 WRITERS = {
     "checkpoint": lambda p: save_checkpoint(FreqLens(ModelConfig(L=8, H=2, C=1, d=2, N=2, K=1)), p),
     "trainlog": lambda p: _log().save(p),
-    "losscurves_csv": lambda p: export_loss_curves_csv(p, _log()),
+    "losscurves_csv": lambda p: _log().save_csv(p),
     "spectrum_csv": _spectrum,
     "series_csv": lambda p: save_csv(synth_series([(4.0, 1.0, 0.0)], length=8), p),
     "json_report": lambda p: cli._dump_json(p, {"k": 1}),

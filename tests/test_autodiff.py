@@ -5,7 +5,7 @@ import pytest
 
 from freqlens import autodiff as ad
 from freqlens.autodiff import Tensor, backward, check_gradients, finite_difference
-from test_fused import relu
+from test_fused import case_point, relu
 
 
 def grad_of(loss, param):
@@ -134,9 +134,7 @@ ELEMENTWISE_CASES = [
 
 @pytest.mark.parametrize("name,fn,shape", ELEMENTWISE_CASES, ids=[c[0] for c in ELEMENTWISE_CASES])
 def test_op_gradients_match_finite_differences(name, fn, shape):
-    rng = np.random.default_rng(hash(name) % 2**32)
-    point = Tensor(rng.normal(size=shape) + 0.05)  # nudge off relu/abs kinks
-    assert check_gradients(fn, point, eps=1e-5) < 1e-4
+    assert check_gradients(fn, case_point(name, shape), eps=1e-5) < 1e-4
 
 
 class TestBinaryOpGradients:

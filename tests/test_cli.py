@@ -376,6 +376,14 @@ class TestDiscover:
             assert [(float(r["period_steps"]), int(r["selection_count"])) for r in rows] == expected
             assert all(float(r["period_steps"]) == periods[int(r["basis_index"])] for r in rows)
 
+    def test_checkpoint_saved_without_seed_reads_its_config_seed(self, workspace, tmp_path, capsys):
+        model, _ = load_checkpoint(Path(workspace["run"]) / "checkpoint-2.ckpt")
+        save_checkpoint(model, tmp_path / "checkpoint-unseeded.ckpt")  # manifest seed: null
+        assert main(["discover", "--config", workspace["config"], "--run", str(tmp_path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert [s["seed"] for s in json.loads((tmp_path / "discovery.json").read_text())["seeds"]] == [2]
+        assert (tmp_path / "spectrum-2.csv").exists()
+
     def test_needs_known_periods(self, workspace, tmp_path):
         cfg = dict(workspace["raw"], known_periods=[])
         path = tmp_path / "c.json"

@@ -10,13 +10,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from freqlens import interpret
+from freqlens import interpret, training
 from freqlens.model import FreqLens, ModelConfig
 from freqlens.interpret import (
     _leave_one_out,
     alpha_report,
     build_discovery_report,
-    export_loss_curves_csv,
     export_spectrum_csv,
     faithfulness_test,
     fft_peak_detection,
@@ -79,10 +78,26 @@ class TestMatching:
             scaled = match_known_periods(learned * scale, known * scale)
             assert [m.matched for m in base] == [m.matched for m in scaled]
 
-    def test_one_learned_period_may_serve_multiple_known(self):
-        matches = match_known_periods([23.0], [24.0, 22.0], delta=0.15)
-        assert all(m.matched for m in matches)
-        assert all(m.learned_period == 23.0 for m in matches)
+    def test_a_learned_period_matches_at_most_one_known(self):
+        # both known periods are closest to 24 and within delta of it; 24 keeps it
+        # (error 0 < 2/26), and 26 takes its closest remaining period, 38, unmatched
+        m24, m26 = match_known_periods([12.0, 24.0, 38.0], [24.0, 26.0], delta=0.15)
+        assert (m24.basis_index, m24.learned_period, m24.matched) == (1, 24.0, True)
+        assert (m26.basis_index, m26.learned_period, m26.matched) == (2, 38.0, False)
+        assert m26.relative_error == pytest.approx(12.0 / 26.0)
+
+    def test_the_closer_known_period_keeps_the_learned_one(self):
+        # 23 is the closest learned period of both, in either listing order: 24 keeps it
+        # (error 1/24 < 1/22), and 22 takes 20.5, still within delta
+        for known in ([22.0, 24.0], [24.0, 22.0]):
+            matches = {m.known_period: m for m in match_known_periods([23.0, 20.5], known, delta=0.15)}
+            assert (matches[24.0].learned_period, matches[24.0].matched) == (23.0, True)
+            assert (matches[22.0].learned_period, matches[22.0].matched) == (20.5, True)
+
+    def test_known_periods_beyond_the_learned_ones_are_unmatched(self):
+        m24, m22 = match_known_periods([23.0], [24.0, 22.0], delta=0.15)
+        assert (m24.basis_index, m24.matched) == (0, True)
+        assert (m22.basis_index, m22.learned_period, m22.matched) == (0, 23.0, False)
 
 
 class TestFFTBaseline:
@@ -425,7 +440,7 @@ class TestDiscoveryReport:
         assert list(zip(seed.periods_steps, seed.selection_counts)) == expected
 
         path = tmp_path / "spectrum.csv"
-        export_spectrum_csv(path, model, seed)
+        export_spectrum_csv(path, seed)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [(float(r["period_steps"]), int(r["selection_count"])) for r in rows] == expected
@@ -446,12 +461,28 @@ class TestDiscoveryReport:
         assert match.matched and match.learned_period == pytest.approx(3.9)
 
         path = tmp_path / "spectrum.csv"
-        export_spectrum_csv(path, model, found)
+        export_spectrum_csv(path, found)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [(int(r["basis_index"]), float(r["period_steps"])) for r in rows if r["matched"] == "1"] == [
             (5, match.learned_period)
         ]
+        assert match.basis_index == 5
+
+    def test_spectrum_is_written_from_the_report_alone(self, tmp_path):
+        model = small_model(seed=4)
+        (found,) = build_discovery_report([(0, model)], [4.0], 0.15, test_inputs=self.X).seeds
+        model.bank.theta.data[:] = np.linspace(-1.0, 1.0, model.config.N)  # the model moves on; the report does not
+
+        path = tmp_path / "spectrum.csv"
+        export_spectrum_csv(path, found)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["basis_index"]) for r in rows] == found.basis_index
+        assert [float(r["frequency"]) for r in rows] == found.frequencies
+        assert [float(r["period_steps"]) for r in rows] == found.periods_steps
+        assert [int(r["selection_count"]) for r in rows] == found.selection_counts
+        assert found.periods_steps != sorted(periods_from_frequencies(model.bank.frequencies().data).tolist())
 
 
 class TestVerifyAxioms:
@@ -545,7 +576,7 @@ class TestExports:
         model = small_model(seed=9)
         path = tmp_path / "spectrum.csv"
         (found,) = build_discovery_report([(0, model)], [4.0], 0.2, np.zeros((1, 16, 2))).seeds
-        export_spectrum_csv(path, model, found)
+        export_spectrum_csv(path, found)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "basis_index,frequency,period_steps,selection_count,matched"
         assert len(lines) == 1 + model.config.N
@@ -553,7 +584,7 @@ class TestExports:
     def test_loss_curves_csv(self, tmp_path):
         log = TrainLog([EpochRecord(0, 1, 0.1, 0.2, 1.3, 0.9, 1.0, 1e-3, [0.1])])
         path = tmp_path / "loss.csv"
-        export_loss_curves_csv(path, log)
+        log.save_csv(path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert lines[0] == "epoch,loss_pred,loss_div,loss_recon,loss_total,val_mse,tau,lr"
@@ -564,9 +595,9 @@ class TestExports:
         class Extended(EpochRecord):
             share: float = 0.25
 
-        monkeypatch.setattr(interpret, "EpochRecord", Extended)
+        monkeypatch.setattr(training, "EpochRecord", Extended)
         path = tmp_path / "loss.csv"
-        export_loss_curves_csv(path, TrainLog([Extended(0, 1.0, 0.1, 0.2, 1.3, 0.9, 1.0, 1e-3, [0.1])]))
+        TrainLog([Extended(0, 1.0, 0.1, 0.2, 1.3, 0.9, 1.0, 1e-3, [0.1])]).save_csv(path)
         header, row = path.read_text().splitlines()
         assert header.split(",") == [f.name for f in dataclasses.fields(Extended) if f.name != "frequencies"]
         assert header.endswith(",lr,share") and row == "0,1.0,0.1,0.2,1.3,0.9,1.0,0.001,0.25"
