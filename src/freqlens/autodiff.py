@@ -253,20 +253,20 @@ def matmul(a, b) -> Tensor:
     sample, and its gradient is one GEMM over the flattened batch:
     ``[M, B·n] @ [B·n, K]`` for a 2-D ``a`` (the projection and
     reconstruction bases) and ``a.reshape(-1, K).T @ g.reshape(-1, N)``
-    for a 2-D ``b`` (the input projection and the scorer weights).  This
+    for a 2-D ``b`` (the input projection of the selected rows).  This
     sums over samples inside the GEMM, in BLAS's order, instead of
     building one product per sample and summing those; the values agree
     to rounding, and the same shapes always give the same bytes.
 
     Every other operand gradient is the per-sample product, reduced by
     ``_unbroadcast`` where its operand was broadcast.  There a length-1
-    contraction is the outer product ``a * b``, the same values; NumPy
-    runs ``@`` with inner size 1 without BLAS, slower than the broadcast
-    multiply.  The forward takes that shortcut, and so do the backward
-    products: ``g @ b^T`` contracts over the output's last size and
-    ``a^T @ g`` over its second last, so the ``[1, M] @ [M, 1]`` Grams
-    run no length-1 ``@``.  The product is written in C order, the layout
-    ``@`` returns, so a batch sum adds the same values in the same order.
+    contraction is an outer product of single products (``_outer``);
+    NumPy runs ``@`` with inner size 1 without BLAS, slower than the
+    broadcast multiply.  The forward takes that shortcut, and so do the
+    backward products: ``g @ b^T`` contracts over the output's last size
+    and ``a^T @ g`` over its second last, so the ``[1, M] @ [M, 1]``
+    Grams run no length-1 ``@``.  At C = 1 the scorer's first layer
+    ``[B*N, 1] @ [1, 32]`` is such a product.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     _check_conformable("matmul", a.shape, b.shape)
@@ -282,8 +282,23 @@ def _check_conformable(kind: str, a: tuple[int, ...], b: tuple[int, ...]) -> Non
         raise ValueError(f"{kind}: shapes {a} and {b} are not conformable")
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a length-1 contraction, ``a [..., M, 1]`` and ``b [..., 1, N]``: the products ``a * b``.
+
+    NumPy's broadcast loop runs the output's last axis innermost, which
+    costs about as much as a GEMM when that axis is short.  So a 2-D
+    product with more rows than columns runs transposed, ``(b^T * a^T)^T``,
+    and comes back in F order; every other product is written in C
+    order, the layout ``@`` returns, so a batch sum adds the same values
+    in the same order.  Each entry is one product either way.
+    """
+    if a.ndim == b.ndim == 2 and a.shape[0] > b.shape[1]:
+        return np.multiply(b.T, a.T).T
+    return np.multiply(a, b, order="C")
+
+
 def _matmul_value(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a * b if a.shape[-1] == 1 else a @ b
+    return _outer(a, b) if a.shape[-1] == 1 else a @ b
 
 
 def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray, need_a: bool, need_b: bool):
@@ -296,14 +311,14 @@ def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray, need_a: bool, nee
             ga = g.transpose(rows_first).reshape(m, -1) @ b.swapaxes(-1, -2).reshape(-1, k)
         else:
             bt = b.swapaxes(-1, -2)
-            ga = _unbroadcast(np.multiply(g, bt, order="C") if g.shape[-1] == 1 else g @ bt, a.shape)
+            ga = _unbroadcast(_outer(g, bt) if g.shape[-1] == 1 else g @ bt, a.shape)
     if need_b:
         if b.ndim == 2 and a.ndim > 2:
             k, n = b.shape
             gb = a.reshape(-1, k).T @ g.reshape(-1, n)
         else:
             at = a.swapaxes(-1, -2)
-            gb = _unbroadcast(np.multiply(at, g, order="C") if g.shape[-2] == 1 else at @ g, b.shape)
+            gb = _unbroadcast(_outer(at, g) if g.shape[-2] == 1 else at @ g, b.shape)
     return ga, gb
 
 
@@ -313,25 +328,37 @@ def relu_mlp(x, w1, w2) -> Tensor:
     Both products and their gradients are ``matmul``'s, shortcuts and
     batch-folded weight gradients included, and the rule runs them in
     the order the three-node graph ran them, so values and gradients
-    keep their bytes.  The model's scorer, K heads and residual are
-    each one such node.
+    keep their bytes.  With 2-D weights, which every row shares, a
+    batched ``x [..., k]`` runs as one ``[rows, k]`` matrix and the
+    output takes ``x``'s leading axes back: the graph is reshape ->
+    matmul -> relu -> matmul -> reshape, with the reshapes inside the
+    node.  The model's scorer, K heads and residual are each one such
+    node.
     """
     x, w1, w2 = _as_tensor(x), _as_tensor(w1), _as_tensor(w2)
-    _check_conformable("relu_mlp", x.shape, w1.shape)
-    pre = _matmul_value(x.data, w1.data)
+    rows = x.data
+    _check_conformable("relu_mlp", rows.shape, w1.shape)
+    flat = rows.ndim > 2 and w1.data.ndim == w2.data.ndim == 2
+    if flat:
+        rows = rows.reshape((-1, rows.shape[-1]))
+    pre = _matmul_value(rows, w1.data)
     h = np.maximum(pre, 0.0)
     _check_conformable("relu_mlp", h.shape, w2.shape)
+    out = _matmul_value(h, w2.data)
     need_h = x.requires_grad or w1.requires_grad
 
     def backward_fn(g):
-        gh, gw2 = _matmul_grads(h, w2.data, g, need_h, w2.requires_grad)
+        gh, gw2 = _matmul_grads(h, w2.data, g.reshape(out.shape), need_h, w2.requires_grad)
         gx = gw1 = None
         if need_h:
-            gh *= pre > 0  # gh is this rule's own fresh product
-            gx, gw1 = _matmul_grads(x.data, w1.data, gh, x.requires_grad, w1.requires_grad)
-        return gx, gw1, gw2
+            # in place into this rule's own product when it shares pre's
+            # layout; else NumPy writes the graph's ``gh * mask`` in C order
+            same_layout = gh.flags.c_contiguous == pre.flags.c_contiguous
+            gh = np.multiply(gh, pre > 0, out=gh if same_layout else None)
+            gx, gw1 = _matmul_grads(rows, w1.data, gh, x.requires_grad, w1.requires_grad)
+        return None if gx is None else gx.reshape(x.shape), gw1, gw2
 
-    return node(_matmul_value(h, w2.data), (x, w1, w2), backward_fn)
+    return node(out.reshape(x.shape[:-1] + out.shape[-1:]) if flat else out, (x, w1, w2), backward_fn)
 
 
 def einsum(subscripts: str, a, b) -> Tensor:

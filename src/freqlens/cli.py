@@ -301,11 +301,23 @@ def _seeds(cfg: RunConfig, flag: int | None) -> list[int]:
     return seeds
 
 
-def _checkpoint_paths(run_dir: Path) -> list[Path]:
+def _load_run(cfg: RunConfig, run_dir: Path, channels: int) -> list[tuple[int, FreqLens]]:
+    """(seed, model) of every checkpoint-*.ckpt in ``run_dir``, in file-name order.
+
+    A seed names a run's files, so two checkpoints of one seed are a
+    usage error, raised before anything is written.
+    """
     paths = sorted(run_dir.glob("checkpoint-*.ckpt"))
     if not paths:
         raise ConfigError(f"no checkpoint-*.ckpt files in {run_dir}")
-    return paths
+    seeded, first_path = [], {}
+    for path in paths:
+        model, seed = _load_model(cfg, path, channels)
+        if seed in first_path:
+            raise ConfigError(f"{first_path[seed].name} and {path.name} in {run_dir} both hold seed {seed}")
+        first_path[seed] = path
+        seeded.append((seed, model))
+    return seeded
 
 
 def _dump_json(path: Path, payload) -> None:
@@ -365,8 +377,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     dataset = windows[args.split]
     run_dir = Path(args.run)
     per_seed = {}
-    for path in _checkpoint_paths(run_dir):
-        model, seed = _load_model(cfg, path, dataset.inputs.shape[2])
+    for seed, model in _load_run(cfg, run_dir, dataset.inputs.shape[2]):
         y_hat = np.concatenate([out.y_hat.data for out in model.forward_batches(dataset.inputs)])
         metrics = compute_metrics(y_hat, dataset.targets)
         per_seed[str(seed)] = {
@@ -427,10 +438,7 @@ def cmd_discover(cfg: RunConfig, args) -> int:
         if period <= 0:
             raise ConfigError(f"config key 'known_periods' needs positive periods in seconds, got {period!r}")
     known_steps = [p / cfg.step_duration for p in cfg.known_periods]
-    seeded = []
-    for path in _checkpoint_paths(run_dir):
-        model, seed = _load_model(cfg, path, test_inputs.shape[2])
-        seeded.append((seed, model))
+    seeded = _load_run(cfg, run_dir, test_inputs.shape[2])
     report = build_discovery_report(seeded, known_steps, delta=cfg.delta, test_inputs=test_inputs)
     out = _out_dir(cfg, args)
     _dump_json(out / "discovery.json", asdict(report))

@@ -1,15 +1,18 @@
 """Forecasting model with learnable frequency bases and additive attribution.
 
-Pipeline per window: decompose the input onto N learnable cosine bases
-and map each basis coefficient to the hidden width, score each basis and
-select the top-K, let one bias-free head per selected frequency produce
-an independent contribution, and fuse the exact sum of those
-contributions with a residual MLP through a learned gate.
+Pipeline per window: decompose the input onto N learnable cosine bases,
+score each basis's coefficient and select the top-K, map the K selected
+coefficients to the hidden width, let one bias-free head per selected
+frequency produce an independent contribution, and fuse the exact sum
+of those contributions with a residual MLP through a learned gate.
 
-The coefficients are ``psi_bar @ (x @ input_proj)``, the projection of
-the hidden features onto the bases.  Both maps are linear and bias-free,
-so they are computed in the cheaper order ``(psi_bar @ x) @ input_proj``:
-no pass builds the [B, L, d] hidden features.
+The hidden-width coefficients are ``psi_bar @ (x @ input_proj)``, the
+projection of the hidden features onto the bases.  The maps are linear
+and bias-free, so every pass reassociates them: it projects the input,
+``xc = psi_bar @ x`` [B, N, C], scores every basis with the scorer's
+first layer folded into the projection, ``xc @ (input_proj @ scorer_w1)``,
+and builds ``xc @ input_proj`` for the K selected rows alone.  No pass
+builds the [B, L, d] hidden features or the [B, N, d] coefficients.
 
 The strict additivity of the frequency path is the structural guarantee
 behind attribution: contributions sum exactly to the frequency
@@ -224,8 +227,10 @@ class ForwardOutput:
 
     ``inputs``, ``input_coefficients`` and ``bases`` are kept so the
     training loss can measure the reconstruction error itself; the
-    forward pass never builds the reconstruction, and no pass builds
-    the hidden features ``inputs @ input_proj``.
+    forward pass never builds the reconstruction.  No pass builds the
+    hidden features ``inputs @ input_proj`` or the hidden-width
+    coefficients ``input_coefficients @ input_proj`` of all N bases:
+    the heads read those of the K selected bases alone.
 
     Outputs of one bank state share the same ``bases`` and
     ``frequencies`` tensors (see ``FreqLens._bases``): read them, never
@@ -238,7 +243,6 @@ class ForwardOutput:
     alpha: Tensor  # scalar gate in (0, 1)
     selected: np.ndarray  # [B, K] basis indices, slot k = k-th largest score
     contributions: Tensor  # [B, K, H, C]
-    coefficients: Tensor  # [B, N, d] = input_coefficients @ input_proj
     inputs: Tensor  # [B, L, C] input window (a constant)
     input_coefficients: Tensor  # [B, N, C] = bases @ inputs
     bases: Tensor  # [N, L] unit-norm bases the coefficients were projected on
@@ -450,31 +454,33 @@ class FreqLens:
         self._bases_cache = (key, freqs, psi_bar)
         return freqs, psi_bar
 
-    def _encode(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        """Input -> bases -> coefficients [B, N, d]; shared by all passes.
+    def _encode(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """Input -> bases -> input coefficients ``xc = psi_bar @ x`` [B, N, C]; shared by all passes.
 
-        ``c = (psi_bar @ x) @ input_proj``, which equals the projection
-        of the hidden features ``psi_bar @ (x @ input_proj)`` without
-        building them.  Returns (freqs, psi_bar, xc, c).
+        Returns (freqs, psi_bar, xc).
         """
         freqs, psi_bar = self._bases()
-        xc = project(x, psi_bar)
-        return freqs, psi_bar, xc, ad.matmul(xc, self.input_proj)
+        return freqs, psi_bar, project(x, psi_bar)
 
-    def score_and_select(self, coefficients: Tensor, training: bool, tau: float | None = None,
+    def score_and_select(self, input_coefficients: Tensor, training: bool, tau: float | None = None,
                          rng: np.random.Generator | None = None) -> tuple[np.ndarray, Tensor | None]:
-        """Score each basis and pick the top-K scores per sample.
+        """Score each basis from its input coefficients [B, N, C] and pick the top-K scores per sample.
 
-        Scores are a shared bias-free MLP of each coefficient plus a
-        per-basis offset; slot k of the returned indices [B, K] holds
-        the k-th highest score.  Evaluation selects from the scores and
-        returns no weights.  Training adds Gumbel(0,1) noise from
-        ``rng``, selects from the noisy scores, and also returns their
-        tempered softmax [B, N] for the straight-through weights.
+        Scores are a shared bias-free MLP of each hidden-width
+        coefficient ``xc @ input_proj`` plus a per-basis offset.  The
+        MLP's first layer is folded into the input projection, so one
+        ``relu_mlp`` over the [B*N, C] rows computes
+        ``relu(xc @ (input_proj @ scorer_w1)) @ scorer_w2`` and no
+        [B, N, d] array is built.  Slot k of the returned indices [B, K]
+        holds the k-th highest score.  Evaluation selects from the
+        scores and returns no weights.  Training adds Gumbel(0,1) noise
+        from ``rng``, selects from the noisy scores, and also returns
+        their tempered softmax [B, N] for the straight-through weights.
         """
         cfg = self.config
-        scores = ad.relu_mlp(coefficients, self.scorer_w1, self.scorer_w2)
-        scores = scores.reshape((coefficients.shape[0], cfg.N)) + self.scorer_bias
+        first_layer = ad.matmul(self.input_proj, self.scorer_w1)  # [C, hidden]
+        scores = ad.relu_mlp(input_coefficients, first_layer, self.scorer_w2)
+        scores = scores.reshape((input_coefficients.shape[0], cfg.N)) + self.scorer_bias
         weights = None
         if training:
             if tau is None or rng is None:
@@ -488,6 +494,10 @@ class FreqLens:
             ranked = scores.data
         selected = np.argsort(-ranked, axis=1, kind="stable")[:, : cfg.K]
         return selected, weights
+
+    def _head_inputs(self, input_coefficients: Tensor, selected: np.ndarray) -> Tensor:
+        """Hidden-width coefficients [B, K, d] of the selected bases: ``xc[b, selected[b]] @ input_proj``."""
+        return ad.matmul(ad.gather_rows(input_coefficients, selected), self.input_proj)
 
     def head_contribution(self, c_sel: Tensor) -> Tensor:
         """Contributions [B, K, H, C] of the K heads; head k reads c_sel[:, k] of c_sel [B, K, d]."""
@@ -521,9 +531,9 @@ class FreqLens:
             raise ValueError(f"forward: expected input [B, {cfg.L}, {cfg.C}], got {x.shape}")
 
         xt = Tensor(x)
-        freqs, psi_bar, xc, c = self._encode(xt)
-        selected, weights = self.score_and_select(c, training, tau, rng)
-        contributions = self.head_contribution(ad.gather_rows(c, selected))
+        freqs, psi_bar, xc = self._encode(xt)
+        selected, weights = self.score_and_select(xc, training, tau, rng)
+        contributions = self.head_contribution(self._head_inputs(xc, selected))
         if training:
             contributions = straight_through(contributions, weights, selected)
         y_freq = contributions.sum(axis=1)
@@ -538,7 +548,6 @@ class FreqLens:
             alpha=alpha,
             selected=selected,
             contributions=contributions,
-            coefficients=c,
             inputs=xt,
             input_coefficients=xc,
             bases=psi_bar,
@@ -576,9 +585,8 @@ class FreqLens:
                 f"masked_forward: expected a bool slot mask [S, {b}, {cfg.K}], "
                 f"got {keep.dtype} {keep.shape}"
             )
-        c = self._encode(Tensor(x))[-1]
-        stacked = self.head_contribution(ad.gather_rows(c, selection)).data  # [B, K, H, C]
-        del c  # the [B, N, d] coefficients are not needed while the rows are summed
+        xc = self._encode(Tensor(x))[-1]
+        stacked = self.head_contribution(self._head_inputs(xc, selection)).data  # [B, K, H, C]
         # Row s is stacked.sum(axis=1) with the dropped slots zeroed in
         # place: ``stacked`` is this call's own head output, so each row
         # saves only its dropped slots, zeroes them, sums and puts them

@@ -210,18 +210,19 @@ def total_loss(model: FreqLens, output: ForwardOutput, target: np.ndarray,
 
     ``output`` is a forward pass of ``model``.  A fixed-prior model
     replaces the frequency-gap barrier with the orthogonality penalty on
-    batch-averaged per-frequency coefficients.  The reconstruction term
-    is the mean squared error of the rebuilt ``bases^T coefficients``
-    against the hidden features ``h = x W`` (``W`` the model's input
-    projection, ``d`` wide).  Both are ``r W`` apart, with
-    ``r = bases^T input_coefficients - x`` the input-space residual, so
+    batch-averaged per-frequency coefficients at the hidden width,
+    ``input_coefficients.mean(axis=0) @ input_proj`` [N, d].  The
+    reconstruction term is the mean squared error of the rebuilt
+    ``bases^T coefficients`` against the hidden features ``h = x W``
+    (``W`` the model's input projection, ``d`` wide).  Both are ``r W``
+    apart, with ``r = bases^T input_coefficients - x`` the input-space residual, so
     with ``r`` flattened to ``[B*L, C]`` the term is
     ``sum((r^T r) * (W W^T)) / (B*L*d)`` (``reconstruction_loss``):
     nothing ``[B, L, d]`` is built.  Returns the scalar loss and its components as plain floats.
     """
     pred = prediction_loss(output.y_hat, target)
     if model.config.prior_periods is not None:
-        reg = orthogonality_loss(output.coefficients.mean(axis=0))
+        reg = orthogonality_loss(ad.matmul(output.input_coefficients.mean(axis=0), model.input_proj))
     elif output.frequencies.size >= 2:
         reg = diversity_loss(output.frequencies, weights.epsilon_div)
     else:

@@ -258,7 +258,32 @@ class TestTrain:
         assert files == ["checkpoint-7.ckpt"]
 
 
+def _run_with_a_repeated_seed(workspace, tmp_path) -> Path:
+    """A run directory whose seed-1 checkpoint appears twice, beside the seed-2 one."""
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("checkpoint-1.ckpt", "checkpoint-2.ckpt"):
+        (run / name).write_bytes((Path(workspace["run"]) / name).read_bytes())
+    (run / "checkpoint-1-copy.ckpt").write_bytes((run / "checkpoint-1.ckpt").read_bytes())
+    return run
+
+
+def _assert_repeated_seed_refused(run, argv, capsys):
+    before = sorted(p.name for p in run.iterdir())
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert re.fullmatch(r"error: checkpoint-1-copy\.ckpt and checkpoint-1\.ckpt in \S+ both hold seed 1\n",
+                        captured.err)
+    assert sorted(p.name for p in run.iterdir()) == before
+
+
 class TestEvaluate:
+    def test_repeated_seed_is_a_usage_error_and_writes_nothing(self, workspace, tmp_path, capsys):
+        run = _run_with_a_repeated_seed(workspace, tmp_path)
+        _assert_repeated_seed_refused(run, ["evaluate", "--config", workspace["config"], "--run", str(run)], capsys)
+
     def test_metrics_file_written(self, workspace):
         assert main(["evaluate", "--config", workspace["config"], "--run", workspace["run"]]) == 0
         payload = json.loads((workspace["root"] / "run" / "metrics-test.json").read_text())
@@ -355,6 +380,13 @@ class TestCompare:
 
 
 class TestDiscover:
+    def test_repeated_seed_is_a_usage_error_and_writes_nothing(self, workspace, tmp_path, capsys):
+        run = _run_with_a_repeated_seed(workspace, tmp_path)
+        out = tmp_path / "out"
+        argv = ["discover", "--config", workspace["config"], "--run", str(run), "--out", str(out)]
+        _assert_repeated_seed_refused(run, argv, capsys)
+        assert not out.exists()
+
     def test_report_and_spectra_written(self, workspace):
         assert main(["discover", "--config", workspace["config"], "--run", workspace["run"]]) == 0
         run = workspace["root"] / "run"

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from freqlens import autodiff as ad
 from freqlens.interpret import per_frequency_impacts
 from freqlens.model import FreqLens, ModelConfig
 
@@ -115,7 +116,7 @@ def test_contributions_equal_per_slot_numpy_reference(shape):
     cfg = model.config
     for training in (False, True):
         out = model.forward(x, training=training, tau=0.5, rng=np.random.default_rng(shape["seed"]))
-        c_sel = out.coefficients.data[np.arange(x.shape[0])[:, None], out.selected]
+        c_sel = ad.matmul(ad.gather_rows(out.input_coefficients, out.selected), model.input_proj).data
         for k in range(cfg.K):
             expected = np.maximum(c_sel[:, k] @ w1[k], 0.0) @ w2[k]
             np.testing.assert_array_equal(

@@ -234,36 +234,56 @@ class TestProjection:
     @example(dims=dict(L=7, C=3, d=2, N=4, K=4, B=2, seed=2))
     @given(dims=encoder_dims())
     def test_coefficients_equal_projected_hidden_features(self, dims):
-        # (psi_bar @ x) @ input_proj is psi_bar @ (x @ input_proj) up to rounding
+        # the heads read (psi_bar @ x)[selected] @ input_proj, the selected
+        # rows of psi_bar @ (x @ input_proj) up to rounding
         dims = dict(dims)
         b = dims.pop("B")
         model = FreqLens(ModelConfig(H=2, **dims))
         x = np.random.default_rng(dims["seed"]).normal(size=(b, dims["L"], dims["C"]))
         out = model.forward(x)
-        expected = out.bases.data @ (x @ model.input_proj.data)
-        np.testing.assert_allclose(out.coefficients.data, expected, rtol=0, atol=1e-12)
+        expected = (out.bases.data @ (x @ model.input_proj.data))[np.arange(b)[:, None], out.selected]
+        got = model._head_inputs(out.input_coefficients, out.selected)
+        assert got.shape == (b, dims["K"], dims["d"])
+        np.testing.assert_allclose(got.data, expected, rtol=0, atol=1e-12)
 
-    def test_no_pass_builds_hidden_features(self, monkeypatch):
-        # L != N and d != C, so a [B, L, d] array cannot be mistaken for another
-        b, cfg = 3, small_config(L=10, C=2, d=6, N=5, K=2, seed=9)
+    @pytest.mark.parametrize("prior", [None, (8.0, 4.0, 5.0, 3.0, 6.0)], ids=["learnable", "fixed_prior"])
+    def test_no_pass_builds_hidden_features(self, monkeypatch, prior):
+        # L, N, K, C and d all differ, so neither the [B, L, d] hidden
+        # features nor the [B, N, d] coefficients can be mistaken for another array
+        b, cfg = 3, small_config(L=10, C=2, d=6, N=5, K=4, seed=9, prior_periods=prior)
         model = FreqLens(cfg)
         x = random_inputs(cfg, b, seed=9)
         y = np.zeros((b, cfg.H, cfg.C))
-        shapes = []
+        selected = model.forward(x).selected
+        seen = []  # every node value and every gradient a rule returns
         make = ad.node
 
         def recording(out_data, parents, backward_fn):
-            shapes.append(out_data.shape)
-            return make(out_data, parents, backward_fn)
+            def rule(g):
+                grads = backward_fn(g)
+                seen.extend(pg.shape for pg in grads if pg is not None)
+                return grads
+
+            seen.append(out_data.shape)
+            return make(out_data, parents, rule)
+
+        def training_step():
+            out = model.forward(x, training=True, tau=0.5, rng=np.random.default_rng(9))
+            backward(total_loss(model, out, y, LossWeights())[0])
 
         monkeypatch.setattr(ad, "node", recording)
-        out = model.forward(x, training=False)
-        model.masked_forward(x, out.selected, np.ones((2, b, cfg.K), dtype=bool))
-        total_loss(model, out, y, LossWeights())
-        out = model.forward(x, training=True, tau=0.5, rng=np.random.default_rng(9))
-        total_loss(model, out, y, LossWeights())
-        assert (b, cfg.N, cfg.d) in shapes  # the recorder saw the coefficients
-        assert (b, cfg.L, cfg.d) not in shapes
+        passes = {
+            "evaluation forward": lambda: model.forward(x, training=False),
+            "masked_forward": lambda: model.masked_forward(x, selected, np.ones((2, b, cfg.K), dtype=bool)),
+            "training step": training_step,
+        }
+        for name, run in passes.items():
+            seen.clear()
+            run()
+            assert (b, cfg.N, cfg.C) in seen, name  # the recorder saw the input coefficients
+            assert (b, cfg.K, cfg.d) in seen, name  # and the selected rows at the hidden width
+            assert (b, cfg.N, cfg.d) not in seen, name
+            assert (b, cfg.L, cfg.d) not in seen, name
 
 
 class TestSelection:
@@ -308,8 +328,8 @@ class TestSelection:
     def test_weights_sum_to_one(self):
         cfg = small_config()
         model = FreqLens(cfg)
-        c = model.forward(random_inputs(cfg, 4)).coefficients
-        _, weights = model.score_and_select(c, True, tau=0.7, rng=np.random.default_rng(3))
+        xc = model.forward(random_inputs(cfg, 4)).input_coefficients
+        _, weights = model.score_and_select(xc, True, tau=0.7, rng=np.random.default_rng(3))
         np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_evaluation_selects_exact_topk_of_scores(self):
@@ -317,13 +337,49 @@ class TestSelection:
         model = FreqLens(cfg)
         x = random_inputs(cfg, 5, seed=11)
         out = model.forward(x)
-        # raw scores recomputed independently from the same coefficients
-        c = out.coefficients.data
+        # raw scores recomputed independently from the same input coefficients
+        c = out.input_coefficients.data @ model.input_proj.data
         h = np.maximum(c @ model.scorer_w1.data, 0.0)
         scores = (h @ model.scorer_w2.data)[:, :, 0] + model.scorer_bias.data
         for b in range(5):
             top = set(np.argsort(-scores[b], kind="stable")[: cfg.K].tolist())
             assert set(out.selected[b].tolist()) == top
+
+    @settings(max_examples=40, deadline=None)
+    @example(dims=dict(L=12, C=1, d=32, N=16, K=4, B=8, seed=3))  # the acceptance widths
+    @example(dims=dict(L=5, C=3, d=1, N=1, K=1, B=1, seed=4))
+    @given(dims=encoder_dims())
+    def test_scores_equal_the_unfolded_scorer(self, dims):
+        # the scorer folds input_proj into its first layer: relu(xc @ (W @ w1)) @ w2
+        # is relu((xc @ W) @ w1) @ w2 up to rounding
+        dims = dict(dims)
+        b = dims.pop("B")
+        model = FreqLens(ModelConfig(H=2, **dims))
+        rng = np.random.default_rng(dims["seed"])
+        model.scorer_bias.data[:] = rng.normal(size=dims["N"])
+        x = rng.normal(size=(b, dims["L"], dims["C"]))
+        out = model.forward(x)
+        xc, w, w1, w2 = (a.data for a in (out.input_coefficients, model.input_proj, model.scorer_w1, model.scorer_w2))
+        bias = model.scorer_bias.data
+        want = (np.maximum((xc @ w) @ w1, 0.0) @ w2)[..., 0] + bias
+        size = (np.abs(xc) @ np.abs(w) @ np.abs(w1) @ np.abs(w2))[..., 0] + np.abs(bias)  # the terms' magnitude
+        scores = []
+        make = model_module.selection_weights
+
+        def recording(s, noise, tau):  # a training pass hands its scores to the selection weights
+            scores.append(s.data)
+            return make(s, noise, tau)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(model_module, "selection_weights", recording)
+            model.forward(x, training=True, tau=1.0, rng=np.random.default_rng(0))
+        assert np.all(np.abs(scores[0] - want) <= 1e-12 * size)
+        # evaluation ranks the scores as the unfolded scorer does, wherever no two are within rounding
+        order = np.argsort(-want, axis=1, kind="stable")
+        ranked = np.take_along_axis(want, order, axis=1)[:, : dims["K"] + 1]
+        gaps = -np.diff(ranked, axis=1)
+        apart = (gaps > 1e-9 * size.max(axis=1, keepdims=True)).all(axis=1)
+        np.testing.assert_array_equal(out.selected[apart], order[apart, : dims["K"]])
 
     def test_training_selection_needs_rng(self):
         cfg = small_config()
@@ -406,7 +462,7 @@ class TestForward:
         cfg = small_config()
         model = FreqLens(cfg)
         out = model.forward(np.zeros((2, cfg.L, cfg.C)))
-        assert np.all(out.coefficients.data == 0.0)
+        assert np.all(out.input_coefficients.data == 0.0)
         assert np.all(out.y_freq.data == 0.0)
         assert np.all(out.y_hat.data == 0.0)
 
@@ -461,7 +517,7 @@ def fresh_copy(model):
 def assert_same_eval(model, x):
     """Evaluation of ``model`` equals, bit for bit, a fresh model with the same state."""
     got, want = model.forward(x), fresh_copy(model).forward(x)
-    for field in ("y_hat", "y_freq", "y_res", "contributions", "coefficients", "bases", "frequencies"):
+    for field in ("y_hat", "y_freq", "y_res", "contributions", "input_coefficients", "bases", "frequencies"):
         assert getattr(got, field).data.tobytes() == getattr(want, field).data.tobytes(), field
     np.testing.assert_array_equal(got.selected, want.selected)
 

@@ -172,7 +172,7 @@ class TestTotalLoss:
         x = np.random.default_rng(6).normal(size=(2, 8, 1))
         out = model.forward(x)
         _, comps = total_loss(model, out, np.zeros((2, 4, 1)), LossWeights())
-        features = out.coefficients.data.mean(axis=0)
+        features = out.input_coefficients.data.mean(axis=0) @ model.input_proj.data
         expected = orthogonality_loss(Tensor(features)).item()
         assert comps["div"] == pytest.approx(expected, rel=1e-12)
 
@@ -183,7 +183,7 @@ class TestTotalLoss:
             x = np.random.default_rng(7).normal(size=(3, 8, channels))
             out = model.forward(x)
             _, comps = total_loss(model, out, np.zeros((3, 4, channels)), LossWeights())
-            psi_bar, c = out.bases.data, out.coefficients.data
+            psi_bar, c = out.bases.data, out.input_coefficients.data @ model.input_proj.data
             hidden = x @ model.input_proj.data
             expected = float(np.mean((psi_bar.T @ c - hidden) ** 2))
             assert comps["recon"] == pytest.approx(expected, rel=1e-12)
