@@ -246,15 +246,11 @@ class TestProjection:
         assert got.shape == (b, dims["K"], dims["d"])
         np.testing.assert_allclose(got.data, expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("prior", [None, (8.0, 4.0, 5.0, 3.0, 6.0)], ids=["learnable", "fixed_prior"])
-    def test_no_pass_builds_hidden_features(self, monkeypatch, prior):
+    def test_no_pass_builds_hidden_features(self, monkeypatch):
         # L, N, K, C and d all differ, so neither the [B, L, d] hidden
-        # features nor the [B, N, d] coefficients can be mistaken for another array
-        b, cfg = 3, small_config(L=10, C=2, d=6, N=5, K=4, seed=9, prior_periods=prior)
-        model = FreqLens(cfg)
-        x = random_inputs(cfg, b, seed=9)
-        y = np.zeros((b, cfg.H, cfg.C))
-        selected = model.forward(x).selected
+        # features nor the [B, N, d] coefficients can be mistaken for another
+        # array; a learnable and a fixed-prior frequency bank are both checked
+        b = 3
         seen = []  # every node value and every gradient a rule returns
         make = ad.node
 
@@ -267,23 +263,31 @@ class TestProjection:
             seen.append(out_data.shape)
             return make(out_data, parents, rule)
 
-        def training_step():
-            out = model.forward(x, training=True, tau=0.5, rng=np.random.default_rng(9))
-            backward(total_loss(model, out, y, LossWeights())[0])
-
         monkeypatch.setattr(ad, "node", recording)
-        passes = {
-            "evaluation forward": lambda: model.forward(x, training=False),
-            "masked_forward": lambda: model.masked_forward(x, selected, np.ones((2, b, cfg.K), dtype=bool)),
-            "training step": training_step,
-        }
-        for name, run in passes.items():
-            seen.clear()
-            run()
-            assert (b, cfg.N, cfg.C) in seen, name  # the recorder saw the input coefficients
-            assert (b, cfg.K, cfg.d) in seen, name  # and the selected rows at the hidden width
-            assert (b, cfg.N, cfg.d) not in seen, name
-            assert (b, cfg.L, cfg.d) not in seen, name
+        for prior in (None, (8.0, 4.0, 5.0, 3.0, 6.0)):
+            cfg = small_config(L=10, C=2, d=6, N=5, K=4, seed=9, prior_periods=prior)
+            model = FreqLens(cfg)
+            x = random_inputs(cfg, b, seed=9)
+            y = np.zeros((b, cfg.H, cfg.C))
+            selected = model.forward(x).selected
+
+            def training_step(model=model, x=x, y=y):
+                out = model.forward(x, training=True, tau=0.5, rng=np.random.default_rng(9))
+                backward(total_loss(model, out, y, LossWeights())[0])
+
+            passes = {
+                "evaluation forward": lambda: model.forward(x, training=False),
+                "masked_forward": lambda: model.masked_forward(x, selected, np.ones((2, b, cfg.K), dtype=bool)),
+                "training step": training_step,
+            }
+            for name, run in passes.items():
+                seen.clear()
+                run()
+                where = (name, prior)
+                assert (b, cfg.N, cfg.C) in seen, where  # the recorder saw the input coefficients
+                assert (b, cfg.K, cfg.d) in seen, where  # and the selected rows at the hidden width
+                assert (b, cfg.N, cfg.d) not in seen, where
+                assert (b, cfg.L, cfg.d) not in seen, where
 
 
 class TestSelection:
