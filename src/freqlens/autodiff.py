@@ -518,18 +518,11 @@ def gather_rows(x, index) -> Tensor:
 def _scatter_rows(g: np.ndarray, index: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Gradient of ``gather_rows``: ``g`` [B, K, ...] added into zeros of ``shape`` at rows ``index`` [B, K].
 
-    ``np.add.at`` adds one number per slot fastest; a row of numbers per
-    slot is one assignment of ``0.0 + g`` (the sum ``np.add.at`` forms,
-    which turns -0.0 into +0.0) when each sample's indices are distinct.
+    ``np.add.at`` sums the slots of a sample that name one row, and adds
+    every slot to 0.0, so a -0.0 gradient arrives as +0.0.
     """
     gx = np.zeros(shape)
-    batch = np.arange(shape[0])[:, None]
-    if g.ndim > 2:
-        ordered = np.sort(index, axis=1)
-        if (ordered[:, 1:] != ordered[:, :-1]).all():
-            gx[batch, index] = g + 0.0
-            return gx
-    np.add.at(gx, (batch, index), g)
+    np.add.at(gx, (np.arange(shape[0])[:, None], index), g)
     return gx
 
 

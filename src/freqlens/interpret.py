@@ -294,8 +294,8 @@ def faithfulness_test(model: FreqLens, inputs, k_list, max_samples: int = 64) ->
     collapse onto K).
     """
     k_effs = list(dict.fromkeys(min(int(k), model.config.K) for k in k_list))
-    if any(k < 0 for k in k_effs):
-        raise ValueError(f"removal sizes must be nonnegative, got {list(k_list)}")
+    if not k_effs or any(k < 0 for k in k_effs):
+        raise ValueError(f"removal sizes must be a nonempty list of nonnegative sizes, got {list(k_list)}")
     x = _samples(inputs, max_samples)
     selected, alpha, mags = _attributed(model, x)
     b, k = selected.shape

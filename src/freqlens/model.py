@@ -28,7 +28,7 @@ import io
 import json
 import warnings
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -72,7 +72,7 @@ class ModelConfig:
     N: int = 32
     K: int = 8
     prior_periods: tuple[float, ...] | None = None  # one period (steps) per basis pins the bank; None: learnable
-    seed: int = 0
+    seed: int = 0  # a nonnegative int64, never a bool: it seeds the weights and names a run's files
     force_alpha: float | None = None  # pin the fusion gate (1.0 = frequency path only)
 
     def __post_init__(self):
@@ -90,6 +90,8 @@ class ModelConfig:
                 raise ValueError(f"prior periods must exceed 2 steps (Nyquist), got {list(self.prior_periods)}")
         if self.force_alpha is not None and not 0.0 <= self.force_alpha <= 1.0:
             raise ValueError("force_alpha must lie in [0, 1]")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**63:
+            raise ValueError(f"seed must be a nonnegative int64, got {self.seed!r}")
 
 
 def _frequency_range(L: int) -> tuple[float, float]:
@@ -332,15 +334,12 @@ def straight_through(contributions: Tensor, weights: Tensor, selected: np.ndarra
     b, k = selected.shape
     w_sel = weights.data[np.arange(b)[:, None], selected]
     ones = ((w_sel - w_sel) + 1.0).reshape((b, k, 1, 1))
-    summed = tuple(i for i in (2, 3) if contributions.shape[i] != 1)  # the H and C axes
 
     def backward_fn(g):
         g_weights = None
         if weights.requires_grad:
-            g_w = g * contributions.data
-            if summed:
-                g_w = g_w.sum(axis=summed, keepdims=True)
-            g_weights = ad._scatter_rows(g_w.reshape((b, k)), selected, weights.shape)
+            g_w = (g * contributions.data).sum(axis=(2, 3))  # over H and C
+            g_weights = ad._scatter_rows(g_w, selected, weights.shape)
         return g * ones if contributions.requires_grad else None, g_weights
 
     return ad.node(contributions.data * ones, (contributions, weights), backward_fn)
@@ -514,6 +513,14 @@ class FreqLens:
             return Tensor(self.config.force_alpha)
         return ad.sigmoid(self.fusion_logit)
 
+    def _windows(self, x, caller: str) -> np.ndarray:
+        """``x`` as float64 windows [B, L, C]; any other shape raises a ValueError naming ``caller``."""
+        cfg = self.config
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 3 or x.shape[1] != cfg.L or x.shape[2] != cfg.C:
+            raise ValueError(f"{caller}: expected input [B, {cfg.L}, {cfg.C}], got {x.shape}")
+        return x
+
     def forward(self, x, training: bool = False, tau: float | None = None,
                 rng: np.random.Generator | None = None) -> ForwardOutput:
         """One pass: decompose, select, attribute, fuse.
@@ -525,12 +532,7 @@ class FreqLens:
         receive prediction-loss gradient without perturbing the additive
         identity in any mode.
         """
-        cfg = self.config
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[1] != cfg.L or x.shape[2] != cfg.C:
-            raise ValueError(f"forward: expected input [B, {cfg.L}, {cfg.C}], got {x.shape}")
-
-        xt = Tensor(x)
+        xt = Tensor(self._windows(x, "forward"))
         freqs, psi_bar, xc = self._encode(xt)
         selected, weights = self.score_and_select(xc, training, tau, rng)
         contributions = self.head_contribution(self._head_inputs(xc, selected))
@@ -574,7 +576,7 @@ class FreqLens:
         is, and the only [S, ...] array is the returned one.
         """
         cfg = self.config
-        x = np.asarray(x, dtype=np.float64)
+        x = self._windows(x, "masked_forward")
         selection = np.asarray(selection)
         keep = np.asarray(keep)
         b = x.shape[0]
@@ -657,7 +659,8 @@ def save_checkpoint(model: FreqLens, path, seed: int | None = None) -> None:
 def load_checkpoint(path) -> tuple[FreqLens, int]:
     """Model and seed from a checkpoint written by ``save_checkpoint``.
 
-    A checkpoint saved without a seed reads as its ``ModelConfig.seed``.
+    A checkpoint saved without a seed reads as its ``ModelConfig.seed``;
+    a stored seed must pass the config's seed rule.
 
     Anything that is not a readable checkpoint -- a missing file, a
     directory, a file that is not a zip, manifest JSON that does not
@@ -684,7 +687,8 @@ def load_checkpoint(path) -> tuple[FreqLens, int]:
                     raise ValueError(f"manifest names array {name!r}, but the archive has no {member}")
                 state[name] = np.load(io.BytesIO(zf.read(member)))
             model.load_state_dict(state)
+            seed = manifest.get("seed")
+            seed = model.config.seed if seed is None else replace(model.config, seed=seed).seed
     except (OSError, zipfile.BadZipFile, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"cannot load checkpoint {path}: {exc}") from exc
-    seed = manifest.get("seed")
-    return model, model.config.seed if seed is None else seed
+    return model, seed

@@ -465,6 +465,7 @@ class TestBadConfigValues:
             ("train", {"top_k": 0}, "need 1 <= K <= N, got K=0, N=8"),
             ("train", {"epochs": 0}, "epochs must be >= 1"),
             ("train", {"lambda_recon": -1.0}, "lambda_recon must be nonnegative, got -1.0"),
+            ("faithfulness", {"faithfulness_k": []}, "removal sizes must be a nonempty list of nonnegative sizes, got []"),
         ],
         ids=[
             "negative_known_period", "zero_known_period", "nan_known_period", "zero_step_duration",
@@ -474,10 +475,14 @@ class TestBadConfigValues:
             "delta_one", "nan_delta", "huge_base_lr", "huge_negative_split_train", "huge_known_period",
             "huge_synth_period", "huge_seed", "huge_float_seed", "huge_faithfulness_k", "huge_synth_length",
             "huge_epochs", "huge_negative_synth_seed", "zero_top_k", "zero_epochs", "negative_lambda_recon",
+            "no_faithfulness_k",
         ],
     )
     def test_one_line_exit_1(self, workspace, tmp_path, capsys, recwarn, command, change, message):
-        args = ["--run", workspace["run"]] if command == "discover" else []
+        args = {
+            "discover": ["--run", workspace["run"]],
+            "faithfulness": ["--checkpoint", str(Path(workspace["run"]) / "checkpoint-1.ckpt")],
+        }.get(command, [])
         path = tmp_path / "c.json"
         path.write_text(json.dumps(dict(workspace["raw"], out_dir=str(tmp_path / "out"), **change)))
         capsys.readouterr()
@@ -961,6 +966,21 @@ def _version_2_manifest(tmp_path, good):
     return path
 
 
+def _forged_seed(label, value, in_config=False):
+    """A maker of a checkpoint whose manifest seed (or, with ``in_config``, config seed) is ``value``."""
+
+    def make_bad(tmp_path, good):
+        path = tmp_path / "forged-seed.ckpt"
+        with zipfile.ZipFile(good) as zf:
+            manifest = json.loads(zf.read("manifest.json"))
+        (manifest["config"] if in_config else manifest)["seed"] = value
+        _rewrite_checkpoint(good, path, replace={"manifest.json": json.dumps(manifest).encode()})
+        return path
+
+    make_bad.__name__ = f"_{'config' if in_config else 'manifest'}_seed_{label}"
+    return make_bad
+
+
 class TestCheckpointFailures:
     """A bad --checkpoint is a usage error: exit 1 and one line on stderr, no traceback."""
 
@@ -969,6 +989,10 @@ class TestCheckpointFailures:
         [
             _not_a_zip, _a_directory, _missing_array, _bad_manifest_json,
             _version_1_manifest, _version_2_manifest, _version_3_manifest,
+            # a seed seeds NumPy and names a run's files: a nonnegative int64, never a bool
+            _forged_seed("string", "abc"), _forged_seed("float", 1.5), _forged_seed("negative", -3),
+            _forged_seed("bool", True), _forged_seed("path", "../x"), _forged_seed("huge", 2**63),
+            _forged_seed("bool", True, in_config=True), _forged_seed("huge", 2**70, in_config=True),
         ],
         ids=lambda f: f.__name__,
     )
@@ -984,3 +1008,18 @@ class TestCheckpointFailures:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1 and str(bad) in proc.stderr
+
+    @pytest.mark.parametrize("command", ["evaluate", "discover", "faithfulness"])
+    def test_forged_seed_writes_nothing(self, workspace, tmp_path, capsys, command):
+        run = tmp_path / "run"
+        run.mkdir()
+        bad = _forged_seed("path", "../x")(run, Path(workspace["run"]) / "checkpoint-1.ckpt")
+        bad = bad.rename(run / "checkpoint-1.ckpt")
+        args = ["--checkpoint", str(bad)] if command == "faithfulness" else ["--run", str(run)]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(workspace["raw"], out_dir=str(tmp_path / "out"))))
+        capsys.readouterr()
+        assert main([command, "--config", str(path), *args]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot load checkpoint {bad}: seed must be a nonnegative int64, got '../x'\n"
+        assert list(run.iterdir()) == [bad] and not (tmp_path / "out").exists()

@@ -298,9 +298,11 @@ class TestFaithfulness:
             faithfulness_test(self.model, self.x, k_list=[-1])
 
     def test_negative_removal_size_rejected_before_the_forward(self, monkeypatch):
+        # so is an empty list, which would run both passes and report nothing
         calls = self._count_calls(monkeypatch)
-        with pytest.raises(ValueError, match="nonnegative"):
-            faithfulness_test(self.model, self.x, k_list=[2, -1])
+        for k_list in ([2, -1], []):
+            with pytest.raises(ValueError, match=re.escape(f"nonempty list of nonnegative sizes, got {k_list}")):
+                faithfulness_test(self.model, self.x, k_list=k_list)
         assert calls == {"forward": 0, "masked_forward": 0}
 
     @pytest.mark.parametrize("max_samples", [0, -1])

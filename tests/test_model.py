@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 import sys
 import threading
 import warnings
@@ -729,6 +730,15 @@ class TestMaskedForward:
             with pytest.raises(ValueError, match="bool slot mask"):
                 self.model.masked_forward(self.x, self.out.selected, keep)
 
+    def test_window_shape_rejected(self):
+        # the window check of forward, naming masked_forward
+        cfg = self.cfg
+        keep = np.ones((1, 3, cfg.K), dtype=bool)
+        message = re.escape(f"masked_forward: expected input [B, {cfg.L}, {cfg.C}]")
+        for x in (self.x[:, 1:], self.x[:, :, :1], self.x[0]):  # wrong L, wrong C, 2-D
+            with pytest.raises(ValueError, match=message):
+                self.model.masked_forward(x, self.out.selected, keep)
+
 
 class TestAttribute:
     def test_attributions_sum_to_frequency_prediction(self):
@@ -804,6 +814,11 @@ class TestCheckpoint:
         assert [n for n in manifest["arrays"] if n.startswith("heads.")] == ["heads.w1", "heads.w2"]
         assert w1.shape == (cfg.K, cfg.d, cfg.d)
         assert w2.shape == (cfg.K, cfg.d, cfg.H * cfg.C)
+
+    @pytest.mark.parametrize("seed", [True, 1.5, -3, "abc", 2**63], ids=["bool", "float", "negative", "string", "huge"])
+    def test_config_seed_must_be_a_nonnegative_int64(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be a nonnegative int64, got {seed!r}")):
+            small_config(seed=seed)
 
     def test_fixed_prior_roundtrip(self, tmp_path):
         cfg = ModelConfig(L=96, H=8, C=1, d=8, N=2, K=2, prior_periods=(24, 12))
