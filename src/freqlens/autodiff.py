@@ -27,16 +27,18 @@ almost-everywhere derivative of sorting.
 A subgraph that every training step rebuilds is one fused node, built
 with :func:`node` from its value, its parents and one backward rule:
 ``relu_mlp`` here; in ``model`` the bank's frequencies, the bases, the
-selection weights and the straight-through weight; in ``training`` the
-prediction error, the diversity barrier, the reconstruction term and
-the weighted total.  Each rule performs the chain rule's NumPy
-operations in the order the op-by-op graph performed them, reusing
-``matmul``'s rule through ``_matmul_grads`` and ``gather_rows``' through
-``_scatter_rows``, so a fused node's gradients have the bytes of the
-graph it replaces.  A rule may write into the arrays it allocated
-itself, never into its upstream gradient (``add`` hands the same array
-to both parents) or into an array saved from the forward (a tape can be
-walked twice).
+selection weights, the straight-through weight and the gate mix; in
+``training`` the prediction error, the diversity barrier, the
+reconstruction term and the weighted total.  Each rule performs the
+chain rule's NumPy operations in the order the op-by-op graph performed
+them, reusing ``matmul``'s rule through ``_matmul_grads`` and
+``gather_rows``' through ``_scatter_rows``, so a fused node's gradients
+have the bytes of the graph it replaces.  A forward may write into an
+array it allocated itself until it hands it to the tape (``relu_mlp``
+applies its ReLU in place on its first product).  A rule may write into
+the arrays it allocated itself, never into its upstream gradient
+(``add`` hands the same array to both parents) or into an array saved
+from the forward (a tape can be walked twice).
 """
 
 from __future__ import annotations
@@ -334,6 +336,11 @@ def relu_mlp(x, w1, w2) -> Tensor:
     matmul -> relu -> matmul -> reshape, with the reshapes inside the
     node.  The model's scorer, K heads and residual are each one such
     node.
+
+    The ReLU runs in place on the first product, an array this node
+    allocated, so a pass holds one hidden array where the graph held
+    two (``pre`` and ``relu(pre)``).  The rule masks on ``h > 0``, the
+    same set as ``pre > 0``.
     """
     x, w1, w2 = _as_tensor(x), _as_tensor(w1), _as_tensor(w2)
     rows = x.data
@@ -341,8 +348,8 @@ def relu_mlp(x, w1, w2) -> Tensor:
     flat = rows.ndim > 2 and w1.data.ndim == w2.data.ndim == 2
     if flat:
         rows = rows.reshape((-1, rows.shape[-1]))
-    pre = _matmul_value(rows, w1.data)
-    h = np.maximum(pre, 0.0)
+    h = _matmul_value(rows, w1.data)
+    np.maximum(h, 0.0, out=h)
     _check_conformable("relu_mlp", h.shape, w2.shape)
     out = _matmul_value(h, w2.data)
     need_h = x.requires_grad or w1.requires_grad
@@ -351,10 +358,13 @@ def relu_mlp(x, w1, w2) -> Tensor:
         gh, gw2 = _matmul_grads(h, w2.data, g.reshape(out.shape), need_h, w2.requires_grad)
         gx = gw1 = None
         if need_h:
-            # in place into this rule's own product when it shares pre's
-            # layout; else NumPy writes the graph's ``gh * mask`` in C order
-            same_layout = gh.flags.c_contiguous == pre.flags.c_contiguous
-            gh = np.multiply(gh, pre > 0, out=gh if same_layout else None)
+            # ``h > 0`` is the set ``pre > 0``: ReLU keeps a positive
+            # entry and maps NaN to NaN and -0.0 to a zero, all outside
+            # it.  In place into this rule's own product when it shares
+            # h's layout; else NumPy writes the graph's ``gh * mask`` in
+            # C order
+            same_layout = gh.flags.c_contiguous == h.flags.c_contiguous
+            gh = np.multiply(gh, h > 0, out=gh if same_layout else None)
             gx, gw1 = _matmul_grads(rows, w1.data, gh, x.requires_grad, w1.requires_grad)
         return None if gx is None else gx.reshape(x.shape), gw1, gw2
 

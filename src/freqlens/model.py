@@ -13,6 +13,9 @@ and bias-free, so every pass reassociates them: it projects the input,
 first layer folded into the projection, ``xc @ (input_proj @ scorer_w1)``,
 and builds ``xc @ input_proj`` for the K selected rows alone.  No pass
 builds the [B, L, d] hidden features or the [B, N, d] coefficients.
+The scorer, the K heads and the residual are each one ``relu_mlp``
+node, which applies its ReLU in place, and the gate's fusion
+``alpha * y_freq + (1 - alpha) * y_res`` is one node, ``gate_mix``.
 
 The strict additivity of the frequency path is the structural guarantee
 behind attribution: contributions sum exactly to the frequency
@@ -28,7 +31,7 @@ import io
 import json
 import warnings
 import zipfile
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,6 +43,7 @@ SCORER_HIDDEN = 32
 EVAL_BATCH = 256  # windows per evaluation forward, in training's validation as everywhere else
 
 __all__ = [
+    "check_seed",
     "ModelConfig",
     "FrequencyBank",
     "ForwardOutput",
@@ -51,9 +55,21 @@ __all__ = [
     "apply_heads",
     "selection_weights",
     "straight_through",
+    "gate_mix",
     "save_checkpoint",
     "load_checkpoint",
 ]
+
+
+def check_seed(seed):
+    """``seed`` if it is a nonnegative int64 and not a bool, else a ``ValueError`` naming it.
+
+    A seed seeds NumPy and names a run's files.  The rule is shared by
+    ``ModelConfig``, ``TrainConfig`` and the seed a checkpoint stores.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**63:
+        raise ValueError(f"seed must be a nonnegative int64, got {seed!r}")
+    return seed
 
 
 @dataclass
@@ -90,8 +106,7 @@ class ModelConfig:
                 raise ValueError(f"prior periods must exceed 2 steps (Nyquist), got {list(self.prior_periods)}")
         if self.force_alpha is not None and not 0.0 <= self.force_alpha <= 1.0:
             raise ValueError("force_alpha must lie in [0, 1]")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**63:
-            raise ValueError(f"seed must be a nonnegative int64, got {self.seed!r}")
+        check_seed(self.seed)
 
 
 def _frequency_range(L: int) -> tuple[float, float]:
@@ -345,6 +360,31 @@ def straight_through(contributions: Tensor, weights: Tensor, selected: np.ndarra
     return ad.node(contributions.data * ones, (contributions, weights), backward_fn)
 
 
+def gate_mix(alpha: Tensor, y_freq: Tensor, y_res: Tensor) -> Tensor:
+    """The fused forecast ``alpha * y_freq + (1 - alpha) * y_res`` as one node.
+
+    ``alpha`` is the scalar gate, tracked or the constant ``force_alpha``.
+    The rule runs the products of the mul -> sub -> mul -> add graph in
+    its order: ``y_res``'s share of ``alpha``'s gradient, negated, then
+    plus ``y_freq``'s, so the gradient reaching ``alpha`` keeps its bytes.
+    """
+    a = alpha.data
+    one_minus = 1.0 - a
+
+    def backward_fn(g):
+        g_alpha = None
+        if alpha.requires_grad:
+            g_alpha = -ad._unbroadcast(g * y_res.data, alpha.shape)
+            g_alpha = g_alpha + ad._unbroadcast(g * y_freq.data, alpha.shape)
+        return (
+            g_alpha,
+            ad._unbroadcast(g * a, y_freq.shape) if y_freq.requires_grad else None,
+            ad._unbroadcast(g * one_minus, y_res.shape) if y_res.requires_grad else None,
+        )
+
+    return ad.node(a * y_freq.data + one_minus * y_res.data, (alpha, y_freq, y_res), backward_fn)
+
+
 class FreqLens:
     """The full model: projection, bank, scorer, heads, residual, gate.
 
@@ -542,7 +582,7 @@ class FreqLens:
 
         y_res = self._residual(xt)
         alpha = self.gate()
-        y_hat = alpha * y_freq + (1.0 - alpha) * y_res
+        y_hat = gate_mix(alpha, y_freq, y_res)
         return ForwardOutput(
             y_hat=y_hat,
             y_freq=y_freq,
@@ -660,7 +700,7 @@ def load_checkpoint(path) -> tuple[FreqLens, int]:
     """Model and seed from a checkpoint written by ``save_checkpoint``.
 
     A checkpoint saved without a seed reads as its ``ModelConfig.seed``;
-    a stored seed must pass the config's seed rule.
+    a stored seed must pass ``check_seed``.
 
     Anything that is not a readable checkpoint -- a missing file, a
     directory, a file that is not a zip, manifest JSON that does not
@@ -688,7 +728,7 @@ def load_checkpoint(path) -> tuple[FreqLens, int]:
                 state[name] = np.load(io.BytesIO(zf.read(member)))
             model.load_state_dict(state)
             seed = manifest.get("seed")
-            seed = model.config.seed if seed is None else replace(model.config, seed=seed).seed
+            seed = model.config.seed if seed is None else check_seed(seed)
     except (OSError, zipfile.BadZipFile, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"cannot load checkpoint {path}: {exc}") from exc
     return model, seed

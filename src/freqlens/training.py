@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .atomic import atomic_write
 from .autodiff import Tensor, backward
-from .model import ForwardOutput, FreqLens
+from .model import ForwardOutput, FreqLens, check_seed
 from .stats import compute_metrics
 
 __all__ = [
@@ -66,7 +66,7 @@ class TrainConfig:
     patience: int = 10
     tau_start: float = 1.0  # training selection temperature, annealed linearly to tau_end
     tau_end: float = 0.1
-    seed: int = 0
+    seed: int = 0  # a nonnegative int64, never a bool, as ModelConfig's
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -81,6 +81,7 @@ class TrainConfig:
         for name in ("base_lr", "freq_lr_multiplier"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        check_seed(self.seed)
 
 
 @dataclass

@@ -984,10 +984,21 @@ def _forged_seed(label, value, in_config=False):
 class TestCheckpointFailures:
     """A bad --checkpoint is a usage error: exit 1 and one line on stderr, no traceback."""
 
+    @staticmethod
+    def bad_checkpoint(tmp_path, make_bad):
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(FreqLens(ModelConfig(L=16, H=4, C=1, d=4, N=4, K=2)), good)
+        return make_bad(tmp_path, good)
+
+    @staticmethod
+    def assert_one_line_naming(stderr, bad):
+        assert "Traceback" not in stderr
+        assert stderr.count("\n") == 1 and str(bad) in stderr, stderr
+
     @pytest.mark.parametrize(
         "make_bad",
         [
-            _not_a_zip, _a_directory, _missing_array, _bad_manifest_json,
+            _a_directory, _missing_array, _bad_manifest_json,
             _version_1_manifest, _version_2_manifest, _version_3_manifest,
             # a seed seeds NumPy and names a run's files: a nonnegative int64, never a bool
             _forged_seed("string", "abc"), _forged_seed("float", 1.5), _forged_seed("negative", -3),
@@ -996,18 +1007,22 @@ class TestCheckpointFailures:
         ],
         ids=lambda f: f.__name__,
     )
-    def test_bad_checkpoint_exits_1_without_traceback(self, tmp_path, make_bad):
-        good = tmp_path / "good.ckpt"
-        save_checkpoint(FreqLens(ModelConfig(L=16, H=4, C=1, d=4, N=4, K=2)), good)
-        bad = make_bad(tmp_path, good)
+    def test_bad_checkpoint_exits_1_without_traceback(self, tmp_path, capsys, make_bad):
+        bad = self.bad_checkpoint(tmp_path, make_bad)
+        capsys.readouterr()
+        assert main(["verify-axioms", "--checkpoint", str(bad)]) == 1
+        self.assert_one_line_naming(capsys.readouterr().err, bad)
+
+    def test_bad_checkpoint_exits_1_without_traceback_from_the_interpreter(self, tmp_path):
+        # the in-process rows above cannot see what the interpreter prints on exit
+        bad = self.bad_checkpoint(tmp_path, _not_a_zip)
         env = dict(os.environ, PYTHONPATH=str(Path(freqlens.__file__).resolve().parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "freqlens.cli", "verify-axioms", "--checkpoint", str(bad)],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 1, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.count("\n") == 1 and str(bad) in proc.stderr
+        self.assert_one_line_naming(proc.stderr, bad)
 
     @pytest.mark.parametrize("command", ["evaluate", "discover", "faithfulness"])
     def test_forged_seed_writes_nothing(self, workspace, tmp_path, capsys, command):

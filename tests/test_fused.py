@@ -1,9 +1,9 @@
 """Fused tape nodes against the op-by-op graphs they replaced.
 
 Each fused node -- the bank's frequencies, ``build_bases``, the selection
-weights, the straight-through weight, ``relu_mlp``, the prediction
-error, the diversity barrier, the reconstruction term and the weighted
-total -- must give the value and the gradients of the graph it
+weights, the straight-through weight, the gate mix, ``relu_mlp``, the
+prediction error, the diversity barrier, the reconstruction term and the
+weighted total -- must give the value and the gradients of the graph it
 replaced, byte for byte, and match central differences.  Those graphs
 are kept here as oracles.  They are built from the primitives only they
 use (``exp``, ``log``, ``cos``, ``relu``, negation, indexing and
@@ -28,7 +28,15 @@ from freqlens import autodiff as ad
 from freqlens import model as model_module
 from freqlens import training as training_module
 from freqlens.autodiff import Tensor, backward, check_gradients
-from freqlens.model import FreqLens, FrequencyBank, ModelConfig, build_bases, selection_weights, straight_through
+from freqlens.model import (
+    FreqLens,
+    FrequencyBank,
+    ModelConfig,
+    build_bases,
+    gate_mix,
+    selection_weights,
+    straight_through,
+)
 from freqlens.training import (
     LossWeights,
     diversity_loss,
@@ -196,6 +204,10 @@ def composed_weighted_total(pred, reg, recon, weights):
     return pred + weights.lambda_div * reg + weights.lambda_recon * recon
 
 
+def composed_gate_mix(alpha, y_freq, y_res):
+    return alpha * y_freq + (1.0 - alpha) * y_res
+
+
 def use_composed_graphs(monkeypatch):
     """Route every fused node of the model and the loss through its composed graph."""
     monkeypatch.setattr(ad, "relu_mlp", composed_relu_mlp)
@@ -203,6 +215,7 @@ def use_composed_graphs(monkeypatch):
     monkeypatch.setattr(model_module, "build_bases", composed_build_bases)
     monkeypatch.setattr(model_module, "selection_weights", composed_selection_weights)
     monkeypatch.setattr(model_module, "straight_through", composed_straight_through)
+    monkeypatch.setattr(model_module, "gate_mix", composed_gate_mix)
     monkeypatch.setattr(training_module, "prediction_loss", composed_prediction_loss)
     monkeypatch.setattr(training_module, "diversity_loss", composed_diversity_loss)
     monkeypatch.setattr(training_module, "reconstruction_loss", composed_reconstruction_loss)
@@ -509,6 +522,21 @@ class TestReluMlp:
         inputs = [tracked(a + 0.01, t) for a, t in zip(operands, track)]  # off the kink
         assert_matches_finite_differences(ad.relu_mlp, inputs, upstream, 1e-6)
 
+    @pytest.mark.parametrize("rows", [5, 4], ids=["transposed_outer", "c_order_outer"])
+    def test_nan_and_signed_zero_pre_activations_equal_composed_graph(self, rows):
+        # the scorer's length-1 first layer forms each pre-activation as one
+        # product, so NaN, -0.0 and +0.0 reach the in-place ReLU as they are
+        x = np.array([-0.0, 0.0, np.nan, 1.5, -2.0])[:rows].reshape((1, rows, 1))
+        w1 = np.array([[1.0, -1.0, 0.0, 0.5]])
+        pre = x.reshape((rows, 1)) * w1
+        zero = pre == 0
+        assert np.isnan(pre).any() and (zero & np.signbit(pre)).any() and (zero & ~np.signbit(pre)).any()
+        w2 = np.random.default_rng(3).normal(size=(4, 1))
+        upstream = np.random.default_rng(4).normal(size=(1, rows, 1))
+        for track in [(True, True, True), (False, True, True), (True, False, False)]:
+            inputs = [tracked(a, t) for a, t in zip((x, w1, w2), track)]
+            assert_same_bytes(ad.relu_mlp, composed_relu_mlp, inputs, upstream)
+
     def test_shape_errors_name_the_operands(self):
         with pytest.raises(ValueError, match=r"relu_mlp: shapes \(2, 3\) and \(4, 5\)"):
             ad.relu_mlp(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.ones((5, 1))))
@@ -626,6 +654,39 @@ class TestWeightedTotal:
     def test_matches_finite_differences(self, case):
         inputs, weights, upstream = case
         assert_matches_finite_differences(lambda p, r, c: weighted_total(p, r, c, weights), inputs, upstream, 1e-6)
+
+
+@st.composite
+def mix_draws(draw):
+    """The gate and both paths [B, H, C]; the gate is a tracked leaf, a sigmoid of a tracked logit, or a constant."""
+    rng = np.random.default_rng(draw(SEEDS))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+    gate = draw(st.sampled_from(["leaf", "logit", "force_alpha"]))
+    if gate == "force_alpha":  # the pinned gate is a constant
+        alpha = Tensor(draw(st.sampled_from([0.0, 0.3, 1.0])))
+    else:
+        alpha = tracked(rng.uniform(0.0, 1.0) if gate == "leaf" else rng.normal())
+    track = draw(st.sampled_from([(True, True), (True, False), (False, True)]))
+    paths = [tracked(rng.normal(size=shape), t) for t in track]
+    build, composed = gate_mix, composed_gate_mix
+    if gate == "logit":
+        build = lambda a, f, r: gate_mix(ad.sigmoid(a), f, r)  # noqa: E731
+        composed = lambda a, f, r: composed_gate_mix(ad.sigmoid(a), f, r)  # noqa: E731
+    return build, composed, [alpha, *paths], rng.normal(size=shape)
+
+
+class TestGateMix:
+    @settings(max_examples=40, deadline=None)
+    @given(case=mix_draws())
+    def test_equals_composed_graph(self, case):
+        build, composed, inputs, upstream = case
+        assert_same_bytes(build, composed, inputs, upstream)
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=mix_draws())
+    def test_matches_finite_differences(self, case):
+        build, _, inputs, upstream = case
+        assert_matches_finite_differences(build, inputs, upstream, 1e-6)
 
 
 @st.composite
@@ -760,13 +821,14 @@ class TestTrainingStep:
 class TestTapeSize:
     """Tapes at the acceptance config, so a regression shows here."""
 
-    # forward 26 + total_loss 4; the op-by-op graphs take 96.  The
+    # forward 22 + total_loss 4; the op-by-op graphs take 96.  The
     # scorer's folded first layer ``input_proj @ scorer_w1`` is one
-    # tensor, and the heads' ``xc[selected] @ input_proj`` another
-    FUSED_STEP_TENSORS = 30
+    # tensor, the heads' ``xc[selected] @ input_proj`` another, and the
+    # gate mix one where its graph took five
+    FUSED_STEP_TENSORS = 26
     # an evaluation forward builds no selection weights and no
     # straight-through weight; the bases take 2 when the cache misses
-    EVAL_FORWARD_TENSORS = 22
+    EVAL_FORWARD_TENSORS = 18
 
     @staticmethod
     def tensors_taken(run):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from freqlens import interpret, training
-from freqlens.model import FreqLens, ModelConfig
+from freqlens.model import SCORER_HIDDEN, FreqLens, ModelConfig
 from freqlens.interpret import (
     _leave_one_out,
     alpha_report,
@@ -374,6 +374,18 @@ class TestMaskedPassMemory:
         model, x, _, contributions_bytes = case
         _, peak = self._peak(lambda: verify_axioms(model, x))
         assert peak / contributions_bytes <= 5.5
+
+
+class TestEvaluationForwardMemory:
+    def test_scorer_keeps_one_hidden_array(self):
+        # a B = 256 evaluation forward at the acceptance config, in units of
+        # the scorer's [B*N, 32] hidden array: reads ~1.16; a ReLU that
+        # copies its pre-activations reads ~2.16
+        model = FreqLens(ModelConfig(L=96, H=24, C=1, d=32, N=16, K=4, seed=42))
+        x = np.random.default_rng(0).normal(size=(256, 96, 1))
+        model.forward(x[:1])  # builds the evaluation bases
+        _, peak = TestMaskedPassMemory._peak(lambda: model.forward(x))
+        assert peak / (256 * 16 * SCORER_HIDDEN * 8) <= 1.5
 
 
 class TestAlphaReport:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import asdict
 
@@ -399,6 +400,16 @@ class TestTrainConfigValidation:
 
     def test_zero_learning_rates_accepted(self):
         assert TrainConfig(base_lr=0.0, freq_lr_multiplier=0.0).base_lr == 0.0
+
+    @pytest.mark.parametrize("seed", [True, -1, 1.5, 2**70], ids=["bool", "negative", "float", "huge"])
+    def test_seed_must_be_a_nonnegative_int64(self, seed):
+        # the rule ModelConfig and checkpoints apply, so train never reaches SeedSequence with it
+        with pytest.raises(ValueError, match=re.escape(f"seed must be a nonnegative int64, got {seed!r}")):
+            TrainConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**63 - 1, np.int64(7)])
+    def test_int64_seeds_accepted(self, seed):
+        assert TrainConfig(seed=seed).seed == seed
 
 
 class TestLossWeightsValidation:
