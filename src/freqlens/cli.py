@@ -94,7 +94,6 @@ CONFIG_REFERENCE = {
     "patience": _field(TrainConfig, "patience", "early-stopping patience in epochs"),
     "lambda_div": _field(LossWeights, "lambda_div", "weight of the frequency-gap barrier"),
     "lambda_recon": _field(LossWeights, "lambda_recon", "weight of the hidden reconstruction error"),
-    "epsilon_div": _field(LossWeights, "epsilon_div", "epsilon inside the gap barrier logarithm"),
     "known_periods": ([], "known physical periods in seconds, for discovery matching", None),
     "delta": (0.15, "relative-error threshold for a period match", None),
     "faithfulness_k": ([1, 2, 4, 8], "top-k removal sizes for the faithfulness test", None),

@@ -43,6 +43,7 @@ SCORER_HIDDEN = 32
 EVAL_BATCH = 256  # windows per evaluation forward, in training's validation as everywhere else
 
 __all__ = [
+    "check_integers",
     "check_seed",
     "ModelConfig",
     "FrequencyBank",
@@ -61,13 +62,24 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_integers(config, *names) -> None:
+    """A ``ValueError`` naming the first field ``names`` lists that is a bool or not an ``int`` or ``np.integer``."""
+    for name in names:
+        if not _is_integer(getattr(config, name)):
+            raise ValueError(f"{name} must be an integer, got {getattr(config, name)!r}")
+
+
 def check_seed(seed):
     """``seed`` if it is a nonnegative int64 and not a bool, else a ``ValueError`` naming it.
 
     A seed seeds NumPy and names a run's files.  The rule is shared by
     ``ModelConfig``, ``TrainConfig`` and the seed a checkpoint stores.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**63:
+    if not _is_integer(seed) or not 0 <= seed < 2**63:
         raise ValueError(f"seed must be a nonnegative int64, got {seed!r}")
     return seed
 
@@ -92,6 +104,7 @@ class ModelConfig:
     force_alpha: float | None = None  # pin the fusion gate (1.0 = frequency path only)
 
     def __post_init__(self):
+        check_integers(self, "L", "H", "C", "d", "N", "K")
         if self.L < 2:
             raise ValueError(f"L must be >= 2, got {self.L}")
         if self.H < 1 or self.C < 1 or self.d < 1:

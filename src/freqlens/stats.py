@@ -29,7 +29,6 @@ class MetricSet:
     mse: float
     mae: float
     rmse: float
-    n_samples: int
 
 
 @dataclass
@@ -54,7 +53,6 @@ def compute_metrics(pred: np.ndarray, target: np.ndarray) -> MetricSet:
         mse=mse,
         mae=float(np.abs(diff).mean()),
         rmse=math.sqrt(mse),
-        n_samples=pred.shape[0] if pred.ndim else 1,
     )
 
 

@@ -5,7 +5,8 @@ log-barrier on consecutive log-frequency gaps (keeps learned frequencies
 from collapsing onto each other) and the hidden-space reconstruction
 error (keeps the bases spanning the signal).  Fixed-prior models swap
 the gap barrier for an orthogonality penalty on per-frequency features,
-since their frequencies cannot move.
+since their frequencies cannot move.  ``LossWeights`` holds the two
+regularizer weights; the barrier's gap shift is ``DIVERSITY_EPSILON``.
 
 Training is bit-reproducible for a given seed: batch order, selection
 noise, and initialization all derive from it.
@@ -23,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .atomic import atomic_write
 from .autodiff import Tensor, backward
-from .model import ForwardOutput, FreqLens, check_seed
+from .model import ForwardOutput, FreqLens, check_integers, check_seed
 from .stats import compute_metrics
 
 __all__ = [
@@ -45,11 +46,15 @@ __all__ = [
 ]
 
 
+# the gap barrier's shift inside its logarithm: positive, so equal frequencies
+# give a finite barrier; 1e-3 and 1e-9 train the acceptance recipe alike
+DIVERSITY_EPSILON = 1e-6
+
+
 @dataclass
 class LossWeights:
     lambda_div: float = 0.01
     lambda_recon: float = 0.1
-    epsilon_div: float = 1e-6
 
     def __post_init__(self):
         for name, value in asdict(self).items():
@@ -69,12 +74,11 @@ class TrainConfig:
     seed: int = 0  # a nonnegative int64, never a bool, as ModelConfig's
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        counts = ("epochs", "patience", "batch_size")
+        check_integers(self, *counts)
+        for name in counts:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         for name in ("tau_start", "tau_end"):
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -130,7 +134,8 @@ def prediction_loss(y_hat: Tensor, target) -> Tensor:
     ``target`` is a constant.  The rule is the chain rule of the
     subtract -> square -> mean graph: each element's share
     ``g / count`` times ``2 (y_hat - target)``, the same products as
-    that graph's, so the gradient keeps its bytes.
+    that graph's, so the gradient keeps its bytes.  The fixed-prior
+    orthogonality penalty reads it too, with the identity as target.
     """
     target = np.asarray(target, dtype=np.float64)
     try:
@@ -148,15 +153,15 @@ def prediction_loss(y_hat: Tensor, target) -> Tensor:
     return ad.node(squared.mean(), (y_hat,), backward_fn)
 
 
-def diversity_loss(freqs: Tensor, epsilon: float = 1e-6) -> Tensor:
+def diversity_loss(freqs: Tensor) -> Tensor:
     """Log-barrier on consecutive gaps in sorted log-frequency space.
 
-    -(1/(N-1)) * sum_j ln(ln f_(j+1) - ln f_(j) + eps).  Working on log
-    frequencies makes the penalty ratio-invariant: pairs (0.01, 0.02)
-    and (0.1, 0.2) are penalized identically.  Duplicates give a finite
-    barrier of -ln(eps).  The log frequencies are sorted by a constant
-    ``np.argsort`` permutation; NaN or nonpositive frequencies raise
-    ``ValueError``.
+    -(1/(N-1)) * sum_j ln(ln f_(j+1) - ln f_(j) + eps), eps being
+    ``DIVERSITY_EPSILON``.  Working on log frequencies makes the penalty
+    ratio-invariant: pairs (0.01, 0.02) and (0.1, 0.2) are penalized
+    identically.  Duplicates give a finite barrier of -ln(eps).  The log
+    frequencies are sorted by a constant ``np.argsort`` permutation; NaN
+    or nonpositive frequencies raise ``ValueError``.
 
     One node over ``freqs``.  Its rule is the chain rule of the op-by-op
     graph (log, sort, consecutive differences, shift, log, mean,
@@ -172,9 +177,7 @@ def diversity_loss(freqs: Tensor, epsilon: float = 1e-6) -> Tensor:
         raise ValueError("diversity loss needs positive frequencies")
     order = np.argsort(f, kind="stable")
     logs = np.log(f)[order]
-    shifted = (logs[1:] - logs[:-1]) + epsilon
-    if np.any(shifted <= 0):
-        raise ValueError("nonpositive gap after epsilon shift")
+    shifted = (logs[1:] - logs[:-1]) + DIVERSITY_EPSILON
 
     def backward_fn(g):
         g_gaps = (-g / shifted.size) / shifted
@@ -201,8 +204,7 @@ def orthogonality_loss(features: Tensor) -> Tensor:
     norms = ad.clip(ad.sqrt(ad.square(features).sum(axis=1, keepdims=True)), 1e-8, np.inf)
     unit = features / norms
     gram = ad.matmul(unit, ad.transpose(unit))
-    eye = Tensor(np.eye(features.shape[0]))
-    return ad.square(gram - eye).mean()
+    return prediction_loss(gram, np.eye(features.shape[0]))
 
 
 def total_loss(model: FreqLens, output: ForwardOutput, target: np.ndarray,
@@ -225,7 +227,7 @@ def total_loss(model: FreqLens, output: ForwardOutput, target: np.ndarray,
     if model.config.prior_periods is not None:
         reg = orthogonality_loss(ad.matmul(output.input_coefficients.mean(axis=0), model.input_proj))
     elif output.frequencies.size >= 2:
-        reg = diversity_loss(output.frequencies, weights.epsilon_div)
+        reg = diversity_loss(output.frequencies)
     else:
         reg = Tensor(0.0)  # a single frequency has no gaps to keep apart
     recon = reconstruction_loss(output.input_coefficients, output.bases, output.inputs, model.input_proj)

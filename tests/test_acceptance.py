@@ -187,6 +187,14 @@ def test_criterion_04_fft_baseline_parity():
 
 
 def test_criterion_05_diversity_regularization(discovery_runs):
+    """The trained log-gaps clear ln(1.01), and the gap barrier is ratio-invariant.
+
+    This reads the spacing the recipe learns, not what the barrier adds:
+    trained with ``lambda_div = 0`` its minimum log-gaps (0.179-0.182)
+    clear ln(1.01) as well.  The barrier's own test is
+    ``tests/test_training.py::TestCollapsePrevention``, on a series that
+    collapses without it.
+    """
     runs, _ = discovery_runs
     min_gaps = []
     for run in runs:
@@ -201,7 +209,8 @@ def test_criterion_05_diversity_regularization(discovery_runs):
     invariance_ok = abs(a - b) < 1e-12
     ok = gaps_ok and invariance_ok
     verdict(5, "diversity keeps log-gaps above ln(1.01); ratio invariance", ok,
-            f"min gaps {[f'{g:.3f}' for g in min_gaps]}, invariance dev {abs(a - b):.1e}")
+            f"min gaps {[f'{g:.3f}' for g in min_gaps]}, invariance dev {abs(a - b):.1e}; "
+            "the barrier's own test is tests/test_training.py::TestCollapsePrevention")
 
 
 def test_criterion_06_residual_path_necessity(trend_runs):

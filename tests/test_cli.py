@@ -105,7 +105,6 @@ class TestConfig:
             "patience": (TrainConfig, "patience", 11),
             "lambda_div": (LossWeights, "lambda_div", 0.02),
             "lambda_recon": (LossWeights, "lambda_recon", 0.7),
-            "epsilon_div": (LossWeights, "epsilon_div", 1e-5),
         }
         assert set(expected) == {key for key, (_, _, target) in CONFIG_REFERENCE.items() if target}
         path = tmp_path / "c.json"
@@ -499,7 +498,7 @@ class TestBadConfigValues:
             ("base_lr", "1e400", "inf"),
             ("gumbel_tau_start", "1e400", "inf"),
             ("lambda_div", "-1e400", "-inf"),
-            ("epsilon_div", "NaN", "nan"),
+            ("lambda_recon", "NaN", "nan"),
             ("force_alpha", "Infinity", "inf"),
             ("prior_periods", "[1e400, 12]", "inf"),
         ],
@@ -742,14 +741,21 @@ class TestUsageErrors:
         assert captured.out == "" and not (tmp_path / "out").exists()
         assert captured.err == "error: flag --seed needs nonnegative seeds, got -1\n"
 
-    def test_removed_freq_mode_key_is_a_one_line_usage_error(self, tmp_path, capsys):
-        # the periods alone select the fixed-prior bank
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("freq_mode", "fixed-prior"),  # the periods alone select the fixed-prior bank
+            ("epsilon_div", 1e-6),  # the gap barrier's shift is the constant DIVERSITY_EPSILON
+        ],
+    )
+    def test_removed_key_is_a_one_line_usage_error(self, tmp_path, capsys, key, value):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"freq_mode": "fixed-prior"}))
+        path.write_text(json.dumps({key: value, "out_dir": str(tmp_path / "out")}))
         capsys.readouterr()
-        assert main(["verify-axioms", "--config", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: unknown config keys: ['freq_mode']") and err.count("\n") == 1
+        assert main(["train", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: unknown config keys: [{key!r}]") and captured.err.count("\n") == 1
+        assert captured.out == "" and not (tmp_path / "out").exists()
 
     def test_missing_required_flag(self):
         assert main(["evaluate"]) == 1

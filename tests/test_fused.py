@@ -38,6 +38,7 @@ from freqlens.model import (
     straight_through,
 )
 from freqlens.training import (
+    DIVERSITY_EPSILON,
     LossWeights,
     diversity_loss,
     prediction_loss,
@@ -186,7 +187,7 @@ def composed_prediction_loss(y_hat, target):
     return ad.square(y_hat - Tensor(np.asarray(target, dtype=np.float64))).mean()
 
 
-def composed_diversity_loss(freqs, epsilon=1e-6):
+def composed_diversity_loss(freqs, epsilon=DIVERSITY_EPSILON):
     logs = getitem(log(freqs), np.argsort(freqs.data, kind="stable"))
     shifted = (getitem(logs, slice(1, None)) - getitem(logs, slice(None, -1))) + epsilon
     return neg(log(shifted).mean())
@@ -697,15 +698,14 @@ def frequency_draws(draw):
         freqs = rng.choice([0.01, 0.05, 0.2], size=n)
     else:
         freqs = np.exp(rng.uniform(np.log(1e-3), np.log(0.5), size=n))
-    return freqs, draw(st.sampled_from([1e-6, 1e-2]))
+    return freqs
 
 
 class TestDiversityLoss:
     @settings(max_examples=40, deadline=None)
-    @given(case=frequency_draws())
-    def test_equals_composed_graph(self, case):
-        freqs, eps = case
-        assert_same_bytes(lambda f: diversity_loss(f, eps), lambda f: composed_diversity_loss(f, eps),
+    @given(freqs=frequency_draws())
+    def test_equals_composed_graph(self, freqs):
+        assert_same_bytes(diversity_loss, lambda f: composed_diversity_loss(f, DIVERSITY_EPSILON),
                           [tracked(freqs)], np.array(1.7))
 
     @settings(max_examples=15, deadline=None)
@@ -714,8 +714,7 @@ class TestDiversityLoss:
         # shuffled, with log gaps of at least 0.1: steps of 1e-8 then resolve the barrier's curvature
         rng = np.random.default_rng(seed)
         freqs = rng.permutation(1e-3 * np.exp(np.cumsum(rng.uniform(0.1, 1.0, size=n))))
-        assert_matches_finite_differences(lambda f: diversity_loss(f, 1e-6), [tracked(freqs)], np.array(1.0),
-                                          1e-5, eps=1e-8)
+        assert_matches_finite_differences(diversity_loss, [tracked(freqs)], np.array(1.0), 1e-5, eps=1e-8)
 
 
 @st.composite
@@ -829,6 +828,9 @@ class TestTapeSize:
     # an evaluation forward builds no selection weights and no
     # straight-through weight; the bases take 2 when the cache misses
     EVAL_FORWARD_TENSORS = 18
+    # a fixed-prior step's total_loss at N = K = 2: the orthogonality
+    # penalty's squared deviation from the identity is one node
+    FIXED_PRIOR_LOSS_TENSORS = 13
 
     @staticmethod
     def tensors_taken(run):
@@ -861,6 +863,14 @@ class TestTapeSize:
         fresh, _ = self.tensors_taken(lambda: model.forward(x))
         cached, _ = self.tensors_taken(lambda: model.forward(x))
         assert (fresh, cached) == (self.EVAL_FORWARD_TENSORS + 2, self.EVAL_FORWARD_TENSORS)
+
+    def test_fixed_prior_loss_tensor_count(self):
+        model = FreqLens(ModelConfig(L=96, H=24, C=1, d=32, N=2, K=2, seed=42, prior_periods=(24.0, 12.0)))
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(32, 96, 1)), rng.normal(size=(32, 24, 1))
+        out = model.forward(x, training=True, tau=0.7, rng=rng)
+        count, _ = self.tensors_taken(lambda: total_loss(model, out, y, LossWeights(lambda_div=0.01, lambda_recon=1.0)))
+        assert count == self.FIXED_PRIOR_LOSS_TENSORS
 
     def test_backward_returns_exactly_the_parameter_gradients(self):
         model, _, loss = self.acceptance_step()

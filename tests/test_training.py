@@ -17,6 +17,7 @@ from freqlens.training import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    DIVERSITY_EPSILON,
     Adam,
     EpochRecord,
     LossWeights,
@@ -73,8 +74,8 @@ def assert_loss_gradients_match_finite_differences(model, x, y):
 
 class TestDiversityLoss:
     def test_direct_evaluation(self):
-        loss = diversity_loss(Tensor([0.01, 0.1]), epsilon=1e-6)
-        expected = -math.log(math.log(10.0) + 1e-6)
+        loss = diversity_loss(Tensor([0.01, 0.1]))
+        expected = -math.log(math.log(10.0) + DIVERSITY_EPSILON)
         assert loss.item() == pytest.approx(expected, abs=1e-12)
         assert loss.item() == pytest.approx(-0.834032, abs=1e-6)
 
@@ -84,8 +85,8 @@ class TestDiversityLoss:
         assert abs(a - b) < 1e-12
 
     def test_duplicate_frequencies_hit_the_barrier(self):
-        loss = diversity_loss(Tensor([0.1, 0.1]), epsilon=1e-6)
-        assert loss.item() == pytest.approx(-math.log(1e-6), rel=1e-12)
+        loss = diversity_loss(Tensor([0.1, 0.1]))
+        assert loss.item() == pytest.approx(-math.log(DIVERSITY_EPSILON), rel=1e-12)
         assert loss.item() == pytest.approx(13.8155, abs=1e-4)
 
     def test_unsorted_input_is_sorted_internally(self):
@@ -412,15 +413,27 @@ class TestTrainConfigValidation:
         assert TrainConfig(seed=seed).seed == seed
 
 
+@pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "cls,field",
+    [(ModelConfig, name) for name in ("L", "H", "C", "d", "N", "K")]
+    + [(TrainConfig, name) for name in ("epochs", "batch_size", "patience")],
+)
+def test_sizes_and_counts_must_be_integers(cls, field, value):
+    # a float or bool once constructed, then failed in FreqLens or train, or (epochs=True) trained one epoch
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        cls(**{field: value})
+
+
 class TestLossWeightsValidation:
-    @pytest.mark.parametrize("field", ["lambda_div", "lambda_recon", "epsilon_div"])
+    @pytest.mark.parametrize("field", ["lambda_div", "lambda_recon"])
     @pytest.mark.parametrize("value", [-1e-3, math.nan], ids=["negative", "nan"])
     def test_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be nonnegative"):
             LossWeights(**{field: value})
 
     def test_zero_weights_accepted(self):
-        assert LossWeights(lambda_div=0.0, lambda_recon=0.0, epsilon_div=0.0).lambda_div == 0.0
+        assert LossWeights(lambda_div=0.0, lambda_recon=0.0).lambda_div == 0.0
 
 
 class TestTrainLoop:
