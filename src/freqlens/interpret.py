@@ -227,15 +227,16 @@ def _samples(inputs, max_samples: int | None = None) -> np.ndarray:
 
 
 def _attributed(model: FreqLens, x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Selection [B, K], gate value and attribution magnitudes [B, K] of one evaluation forward.
+    """Selection [B, K], gate value and attribution magnitudes [B, K] of ``x``.
 
-    Nothing else of the forward's output is kept, so its contributions
-    and tape are freed before the masked recomputation runs; the
-    contributions, which this call owns, are squared in place.
+    The selection and contributions come from ``frequency_pass`` and the
+    gate from ``model.gate()``, so no residual, ``y_freq`` or fused
+    prediction is built.  The contributions, which this call owns, are
+    squared in place and freed before the masked recomputation runs.
     """
-    out = model.forward(x, training=False)
-    squares = np.square(out.contributions.data, out=out.contributions.data)
-    return out.selected, float(out.alpha.data), np.sqrt(squares.sum(axis=(2, 3)))
+    selected, contributions = model.frequency_pass(x)
+    squares = np.square(contributions, out=contributions)
+    return selected, float(model.gate().data), np.sqrt(squares.sum(axis=(2, 3)))
 
 
 def _removals(rows: np.ndarray, k: int):
@@ -268,9 +269,10 @@ def per_frequency_impacts(model: FreqLens, inputs, max_samples: int = 64) -> tup
     Returns (attribution magnitudes [B, K], fused-prediction impact l2
     norms [B, K], gate value) over the first ``max_samples`` (>= 1)
     windows.  For the additive path the impact of frequency f is
-    exactly gate * ||contribution(f)||.  One ``masked_forward`` call
-    with a leave-one-out mask recomputes the full prediction and every
-    single removal for the whole batch.
+    exactly gate * ||contribution(f)||.  One ``frequency_pass`` gives
+    the selection and magnitudes, and one ``masked_forward`` call with
+    a leave-one-out mask recomputes the full frequency prediction and
+    every single removal for the whole batch.
     """
     x = _samples(inputs, max_samples)
     selected, alpha, mags = _attributed(model, x)
@@ -287,11 +289,12 @@ def faithfulness_test(model: FreqLens, inputs, k_list, max_samples: int = 64) ->
     per-frequency attribution magnitudes against their individual
     removal impacts, which the additive structure forces to be
     perfectly linear.  The first ``max_samples`` (>= 1) windows take
-    one forward, which gives the selection, gate and magnitudes, and
-    one ``masked_forward`` call: its rows are the leave-one-out set of
-    ``per_frequency_impacts`` (the full set, then each single removal)
-    followed by one "top-k removed" mask per distinct k (sizes above K
-    collapse onto K).
+    one ``frequency_pass``, which gives the selection and magnitudes
+    (the gate is ``model.gate()``; no residual or fused prediction is
+    built), and one ``masked_forward`` call: its rows are the
+    leave-one-out set of ``per_frequency_impacts`` (the full set, then
+    each single removal) followed by one "top-k removed" mask per
+    distinct k (sizes above K collapse onto K).
     """
     k_effs = list(dict.fromkeys(min(int(k), model.config.K) for k in k_list))
     if not k_effs or any(k < 0 for k in k_effs):

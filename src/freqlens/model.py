@@ -41,6 +41,9 @@ from .autodiff import Tensor
 
 SCORER_HIDDEN = 32
 EVAL_BATCH = 256  # windows per evaluation forward, in training's validation as everywhere else
+# bytes of the head output in one sample block of ``FreqLens.masked_forward``,
+# a quarter of a 2 MiB L2 cache: every row reads the block back from there
+_MASKED_BLOCK_BYTES = 512 * 1024
 
 __all__ = [
     "check_integers",
@@ -574,6 +577,30 @@ class FreqLens:
             raise ValueError(f"{caller}: expected input [B, {cfg.L}, {cfg.C}], got {x.shape}")
         return x
 
+    def _frequency_path(self, xt: Tensor, training: bool, tau: float | None = None,
+                        rng: np.random.Generator | None = None):
+        """Encode -> select -> heads, the one chain every selecting pass runs.
+
+        Returns (freqs, psi_bar, xc, selected, weights, contributions);
+        ``weights`` is None in evaluation (see ``score_and_select``).
+        """
+        freqs, psi_bar, xc = self._encode(xt)
+        selected, weights = self.score_and_select(xc, training, tau, rng)
+        contributions = self.head_contribution(self._head_inputs(xc, selected))
+        return freqs, psi_bar, xc, selected, weights, contributions
+
+    def frequency_pass(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Evaluation selection [B, K] and contributions [B, K, H, C] of ``x``, and nothing else.
+
+        The frequency path of an evaluation ``forward``, byte for byte,
+        without the residual, the sum over slots or the gate.  The
+        returned contributions are this call's own array: no tape or
+        other output holds it once the call returns.
+        """
+        xt = Tensor(self._windows(x, "frequency_pass"))
+        *_, selected, _, contributions = self._frequency_path(xt, training=False)
+        return selected, contributions.data
+
     def forward(self, x, training: bool = False, tau: float | None = None,
                 rng: np.random.Generator | None = None) -> ForwardOutput:
         """One pass: decompose, select, attribute, fuse.
@@ -586,9 +613,7 @@ class FreqLens:
         identity in any mode.
         """
         xt = Tensor(self._windows(x, "forward"))
-        freqs, psi_bar, xc = self._encode(xt)
-        selected, weights = self.score_and_select(xc, training, tau, rng)
-        contributions = self.head_contribution(self._head_inputs(xc, selected))
+        freqs, psi_bar, xc, selected, weights, contributions = self._frequency_path(xt, training, tau, rng)
         if training:
             contributions = straight_through(contributions, weights, selected)
         y_freq = contributions.sum(axis=1)
@@ -626,7 +651,11 @@ class FreqLens:
         all-false row is exactly zero, and a dropped slot is excluded
         exactly even when its contribution is not finite.  One encode
         and one pass of the K heads serve every row, however large S
-        is, and the only [S, ...] array is the returned one.
+        is, and the only [S, ...] array is the returned one.  The rows
+        walk the head output in blocks of samples that hold at most
+        ``_MASKED_BLOCK_BYTES`` of it, so every row of a block reads it
+        from cache; a block in which no sample keeps a slot is written
+        as zeros without a reduction.
         """
         cfg = self.config
         x = self._windows(x, "masked_forward")
@@ -650,17 +679,26 @@ class FreqLens:
         # ``stacked`` itself keeps forward's contributions.sum(axis=1)
         # bit for bit, because NumPy's summation order over the slot
         # axis follows the strides (a C-ordered copy can sum
-        # differently, e.g. when H * C == 1).
+        # differently, e.g. when H * C == 1).  A block's slice keeps
+        # those strides and so that order, except that a block of one
+        # sample with H * C == 1 reduces its lone slot vector pairwise,
+        # so then every block takes at least two samples.
         masked = np.empty((keep.shape[0], b, cfg.H, cfg.C))
-        for s, row in enumerate(keep):
-            empty = ~row.any(axis=1)  # samples that keep no slot
-            dropped = ~row & ~empty[:, None]
-            saved = stacked[dropped]
-            stacked[dropped] = 0.0
-            stacked.sum(axis=1, out=masked[s])
-            stacked[dropped] = saved
-            del saved  # freed before the next row saves its own
-            masked[s, empty] = 0.0
+        kept = keep.any(axis=2)  # [S, B]: samples that keep a slot
+        dropped = ~keep & kept[..., None]
+        least = 2 if cfg.H * cfg.C == 1 else 1
+        per_block = max(least, _MASKED_BLOCK_BYTES // stacked[0].nbytes)
+        bounds = [*range(0, max(b - least + 1, 1), per_block), b]  # a lone last sample joins the block before
+        for start, stop in zip(bounds, bounds[1:]):
+            block = stacked[start:stop]
+            for keeps, drop, out in zip(kept[:, start:stop], dropped[:, start:stop], masked[:, start:stop]):
+                if keeps.any():
+                    saved = block[drop]
+                    block[drop] = 0.0
+                    block.sum(axis=1, out=out)
+                    block[drop] = saved
+                    del saved  # freed before the next row saves its own
+        masked[~kept] = 0.0
         return masked
 
     def attribute(self, output: ForwardOutput) -> AttributionReport:

@@ -1,11 +1,13 @@
-"""Property tests of the slot-mask API of ``masked_forward`` over random shapes."""
+"""Property tests of the slot-mask API of ``masked_forward`` and of the attribution passes over random shapes."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freqlens import autodiff as ad
-from freqlens.interpret import per_frequency_impacts
+from freqlens import model as fl_model
+from freqlens.interpret import FaithfulnessResult, faithfulness_test, per_frequency_impacts
 from freqlens.model import FreqLens, ModelConfig
 
 
@@ -183,3 +185,91 @@ def test_non_finite_dropped_slot_is_excluded_exactly(shape):
     assert rows[clean].tobytes() == expected[clean].tobytes()
     assert np.isfinite(rows[clean]).all()
     assert not np.isfinite(rows[~clean]).any()
+
+
+@settings(max_examples=40, deadline=None)
+@_with_corners
+@given(shape=shapes())
+def test_frequency_pass_equals_forward_bit_for_bit(shape):
+    model, x, _ = _case(shape)
+    out = model.forward(x)
+    selected, contributions = model.frequency_pass(x)
+    assert selected.tobytes() == out.selected.tobytes()
+    assert contributions.shape == out.contributions.shape
+    assert contributions.tobytes() == out.contributions.data.tobytes()
+
+
+def _reference_from_forward(model, x, k_list):
+    """per_frequency_impacts and faithfulness_test computed from a full forward's selection, gate and contributions."""
+    out = model.forward(x)
+    alpha = float(out.alpha.data)
+    mags = np.sqrt((out.contributions.data ** 2).sum(axis=(2, 3)))
+    b, k = out.selected.shape
+    leave_one_out = np.concatenate([np.ones((1, b, k), dtype=bool), np.repeat(~np.eye(k, dtype=bool)[:, None], b, 1)])
+    rank = np.argsort(np.argsort(-mags, axis=1, kind="stable"), axis=1)
+    k_effs = list(dict.fromkeys(min(n, k) for n in k_list))
+    removed = np.stack([rank >= n for n in k_effs])
+    rows = model.masked_forward(x, out.selected, np.concatenate([leave_one_out, removed]))
+    impacts = alpha * np.sqrt(((rows[:1] - rows[1 : 1 + k]) ** 2).sum(axis=(2, 3))).T
+    if mags.std() == 0.0 or impacts.std() == 0.0:
+        correlation = 1.0
+    else:
+        correlation = float(np.corrcoef(mags.ravel(), impacts.ravel())[0, 1])
+    results = []
+    for n, row in zip(k_effs, rows[1 + k :]):
+        delta = rows[0] - row
+        fused = np.abs(alpha * delta).mean(axis=(1, 2)).mean()
+        freq = np.abs(delta).mean(axis=(1, 2)).mean()
+        results.append(FaithfulnessResult(n, float(fused), float(freq), correlation, b))
+    return (mags, impacts, alpha), results
+
+
+@settings(max_examples=40, deadline=None)
+@_with_corners
+@given(shape=shapes())
+def test_attribution_passes_equal_a_forward_reference(shape):
+    # neither call runs a full forward; their numbers are those of one, byte for byte
+    model, x, _ = _case(shape)
+    model.fusion_logit.data[...] = 0.7  # a gate other than a fresh model's 0.5
+    k_list = [1, 2, model.config.K, model.config.K + 3]
+    (mags, impacts, alpha), results = _reference_from_forward(model, x, k_list)
+    got_mags, got_impacts, got_alpha = per_frequency_impacts(model, x)
+    assert got_mags.tobytes() == mags.tobytes()
+    assert got_impacts.tobytes() == impacts.tobytes()
+    assert got_alpha == alpha
+    assert repr(faithfulness_test(model, x, k_list)) == repr(results)
+
+
+@settings(max_examples=40, deadline=None)
+@_with_corners
+# H * C == 1 with a three-sample tail block and K >= 8, where the slot sum is order-sensitive
+@example(shape=dict(L=6, H=1, C=1, d=6, N=9, K=9, B=5, S=1, seed=383124355, saturated=False))
+@given(shape=shapes())
+def test_sample_blocks_leave_every_row_unchanged(shape):
+    # every sample its own block (two at least when H * C == 1), against the one-block call
+    model, x, _ = _case(shape)
+    out = model.forward(x)
+    b, k = out.selected.shape
+    partly_empty = np.ones((b, k), dtype=bool)
+    partly_empty[::2] = False  # samples 0, 2, ... keep no slot
+    keep = np.concatenate(
+        [_mixed_mask(np.random.default_rng(shape["seed"]), b, k), np.zeros((1, b, k), dtype=bool), partly_empty[None]]
+    )
+    heads = model.head_contribution
+    poisoned = keep.any(axis=0) & ~keep.all(axis=0)
+    poisoned[0, 0] = True
+
+    def poison(c_sel):
+        contributions = heads(c_sel)
+        contributions.data[poisoned] = np.nan
+        return contributions
+
+    for head_contribution in (heads, poison):
+        model.head_contribution = head_contribution
+        whole = model.masked_forward(x, out.selected, keep)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fl_model, "_MASKED_BLOCK_BYTES", 1)
+            blocked = model.masked_forward(x, out.selected, keep)
+        assert blocked.tobytes() == whole.tobytes()
+        assert np.all(blocked[-2] == 0.0)
+        assert np.all(blocked[-1, ::2] == 0.0)
