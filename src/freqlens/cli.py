@@ -412,6 +412,8 @@ def cmd_compare(args) -> int:
             value = per_seed[s].get(args.metric) if isinstance(per_seed[s], dict) else None
             if not isinstance(value, (int, float)):
                 raise ConfigError(f"{path}: seed {s} has no numeric {args.metric!r}")
+            if not abs(value) <= sys.float_info.max:  # NaN, an infinity or an int beyond float64
+                raise ConfigError(f"{path}: seed {s} has no finite {args.metric!r}")
             values.append(value)
         return values
 

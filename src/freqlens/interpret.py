@@ -2,8 +2,8 @@
 
 Learned frequencies are read as periods (1/f), matched against known
 physical cycles, and compared with classical FFT peak detection.  The
-attribution side is verified two ways: a perturbation test that
-recomputes predictions with frequencies removed, and an exact Shapley
+attribution side is verified two ways: a perturbation test that sums
+the head contributions with frequencies removed, and an exact Shapley
 oracle that enumerates every coalition; for the additive frequency path
 both must agree with the raw contributions.
 """
@@ -227,16 +227,15 @@ def _samples(inputs, max_samples: int | None = None) -> np.ndarray:
 
 
 def _attributed(model: FreqLens, x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Selection [B, K], gate value and attribution magnitudes [B, K] of ``x``.
+    """Contributions [B, K, H, C], gate value and attribution magnitudes [B, K] of ``x``.
 
-    The selection and contributions come from ``frequency_pass`` and the
-    gate from ``model.gate()``, so no residual, ``y_freq`` or fused
-    prediction is built.  The contributions, which this call owns, are
-    squared in place and freed before the masked recomputation runs.
+    The contributions come from ``frequency_pass`` and the gate from
+    ``model.gate()``, so no residual, ``y_freq`` or fused prediction is
+    built.  The contributions are the caller's own array, for
+    ``masked_forward`` to sum; the magnitudes square a temporary copy.
     """
-    selected, contributions = model.frequency_pass(x)
-    squares = np.square(contributions, out=contributions)
-    return selected, float(model.gate().data), np.sqrt(squares.sum(axis=(2, 3)))
+    contributions = model.frequency_pass(x)
+    return contributions, float(model.gate().data), np.sqrt(np.square(contributions).sum(axis=(2, 3)))
 
 
 def _removals(rows: np.ndarray, k: int):
@@ -264,20 +263,22 @@ def _removal_impacts(rows: np.ndarray, alpha: float, k: int) -> np.ndarray:
 
 
 def per_frequency_impacts(model: FreqLens, inputs, max_samples: int = 64) -> tuple[np.ndarray, np.ndarray, float]:
-    """Removal impact of each selected frequency, by masked recomputation.
+    """Removal impact of each selected frequency, by masked sums of the contributions.
 
     Returns (attribution magnitudes [B, K], fused-prediction impact l2
     norms [B, K], gate value) over the first ``max_samples`` (>= 1)
     windows.  For the additive path the impact of frequency f is
-    exactly gate * ||contribution(f)||.  One ``frequency_pass`` gives
-    the selection and magnitudes, and one ``masked_forward`` call with
-    a leave-one-out mask recomputes the full frequency prediction and
-    every single removal for the whole batch.
+    exactly gate * ||contribution(f)||.  One ``frequency_pass`` (the
+    only head pass) gives the contributions and magnitudes, and one
+    ``masked_forward`` call with a leave-one-out mask sums them into
+    the full frequency prediction and every single removal for the
+    whole batch.
     """
     x = _samples(inputs, max_samples)
-    selected, alpha, mags = _attributed(model, x)
-    rows = model.masked_forward(x, selected, _leave_one_out(*selected.shape))
-    return mags, _removal_impacts(rows, alpha, selected.shape[1]), alpha
+    contributions, alpha, mags = _attributed(model, x)
+    rows = model.masked_forward(contributions, _leave_one_out(*mags.shape))
+    del contributions
+    return mags, _removal_impacts(rows, alpha, mags.shape[1]), alpha
 
 
 def faithfulness_test(model: FreqLens, inputs, k_list, max_samples: int = 64) -> list[FaithfulnessResult]:
@@ -289,23 +290,25 @@ def faithfulness_test(model: FreqLens, inputs, k_list, max_samples: int = 64) ->
     per-frequency attribution magnitudes against their individual
     removal impacts, which the additive structure forces to be
     perfectly linear.  The first ``max_samples`` (>= 1) windows take
-    one ``frequency_pass``, which gives the selection and magnitudes
-    (the gate is ``model.gate()``; no residual or fused prediction is
-    built), and one ``masked_forward`` call: its rows are the
-    leave-one-out set of ``per_frequency_impacts`` (the full set, then
-    each single removal) followed by one "top-k removed" mask per
-    distinct k (sizes above K collapse onto K).
+    one ``frequency_pass``, the only head pass, which gives the
+    contributions and magnitudes (the gate is ``model.gate()``; no
+    residual or fused prediction is built), and one ``masked_forward``
+    call that sums those contributions: its rows are the leave-one-out
+    set of ``per_frequency_impacts`` (the full set, then each single
+    removal) followed by one "top-k removed" mask per distinct k (sizes
+    above K collapse onto K).
     """
     k_effs = list(dict.fromkeys(min(int(k), model.config.K) for k in k_list))
     if not k_effs or any(k < 0 for k in k_effs):
         raise ValueError(f"removal sizes must be a nonempty list of nonnegative sizes, got {list(k_list)}")
     x = _samples(inputs, max_samples)
-    selected, alpha, mags = _attributed(model, x)
-    b, k = selected.shape
+    contributions, alpha, mags = _attributed(model, x)
+    b, k = mags.shape
     ranked = np.argsort(-mags, axis=1, kind="stable")  # slots, strongest first
     rank = np.argsort(ranked, axis=1)  # rank of each slot
     top_k_removed = rank[None] >= np.array(k_effs, dtype=np.int64)[:, None, None]
-    rows = model.masked_forward(x, selected, np.concatenate([_leave_one_out(b, k), top_k_removed]))
+    rows = model.masked_forward(contributions, np.concatenate([_leave_one_out(b, k), top_k_removed]))
+    del contributions
     correlation = _pearson(mags, _removal_impacts(rows, alpha, k))
     freq_delta = np.empty_like(rows[0])
     results = []
@@ -428,14 +431,15 @@ class AxiomCheck:
     max_deviation: float
 
 
-def _faithfulness_deviation(model: FreqLens, x: np.ndarray, out) -> float:
+def _faithfulness_deviation(model: FreqLens, out) -> float:
     """Largest |change of y_freq when slot f is removed - contribution f| over every sample and slot.
 
-    The leave-one-out rows are freed on return, before the Shapley
-    oracle allocates its own copy of the contributions.
+    The rows sum a copy of the forward's contributions in their memory
+    layout, since a tape array is never written.  The copy and the rows
+    are freed on return, before the Shapley oracle allocates its own.
     """
     k = model.config.K
-    rows = model.masked_forward(x, out.selected, _leave_one_out(*out.selected.shape))
+    rows = model.masked_forward(np.array(out.contributions.data, order="K"), _leave_one_out(*out.selected.shape))
     devs = np.empty(k)  # maxima collect in arrays: ndarray.max keeps a NaN, Python's max can drop it
     for f, diff in _removals(rows, k):
         diff -= out.contributions.data[:, f]
@@ -450,9 +454,10 @@ def verify_axioms(model: FreqLens, inputs=None, tol: float = 1e-9) -> dict[str, 
     Holds for any weights by construction, so a randomly initialized
     model is a valid subject.  Completeness and faithfulness are
     checked within ``tol``; the null-frequency and symmetry checks are
-    bit-exact.  Faithfulness recomputes every single removal of every
-    sample with one leave-one-out ``masked_forward`` call and compares
-    each change with the forward's contribution.  A non-finite
+    bit-exact.  Faithfulness sums every single removal of every sample
+    from the forward's contributions (one ``masked_forward`` call; the
+    heads run only on the windows and the null check's zero input) and
+    compares each change with the removed contribution.  A non-finite
     contribution gives a NaN deviation, which fails its check.
     """
     cfg = model.config
@@ -465,7 +470,7 @@ def verify_axioms(model: FreqLens, inputs=None, tol: float = 1e-9) -> dict[str, 
     dev = float(np.abs(out.contributions.data.sum(axis=1) - out.y_freq.data).max())
     checks["completeness"] = AxiomCheck(dev < tol, dev)
 
-    dev = _faithfulness_deviation(model, x, out)
+    dev = _faithfulness_deviation(model, out)
     checks["faithfulness"] = AxiomCheck(dev < tol, dev)
 
     dev = float(np.abs(model.head_contribution(Tensor(np.zeros((1, cfg.K, cfg.d)))).data).max())

@@ -490,9 +490,9 @@ class FreqLens:
     def _bases(self) -> tuple[Tensor, Tensor]:
         """The bank's frequencies [N] and unit-norm bases [N, L].
 
-        They depend on ``theta`` and ``phase`` alone, so every pass
-        (training, evaluation, ``masked_forward``) reuses the pair the
-        last pass built while the exact bytes of both are unchanged.  A
+        They depend on ``theta`` and ``phase`` alone, so every pass that
+        encodes (training, evaluation, ``frequency_pass``) reuses the pair
+        the last pass built while the exact bytes of both are unchanged.  A
         value key sees every write: the optimizer's and
         ``load_state_dict``'s in-place updates as well as a rebound
         ``.data``.  A reused pair is the node that was built from those
@@ -508,14 +508,6 @@ class FreqLens:
         psi_bar = build_bases(freqs, bank.phase, self.config.L)
         self._bases_cache = (key, freqs, psi_bar)
         return freqs, psi_bar
-
-    def _encode(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """Input -> bases -> input coefficients ``xc = psi_bar @ x`` [B, N, C]; shared by all passes.
-
-        Returns (freqs, psi_bar, xc).
-        """
-        freqs, psi_bar = self._bases()
-        return freqs, psi_bar, project(x, psi_bar)
 
     def score_and_select(self, input_coefficients: Tensor, training: bool, tau: float | None = None,
                          rng: np.random.Generator | None = None) -> tuple[np.ndarray, Tensor | None]:
@@ -579,27 +571,27 @@ class FreqLens:
 
     def _frequency_path(self, xt: Tensor, training: bool, tau: float | None = None,
                         rng: np.random.Generator | None = None):
-        """Encode -> select -> heads, the one chain every selecting pass runs.
+        """Encode (``xc = psi_bar @ x`` [B, N, C]) -> select -> heads, the one chain every selecting pass runs.
 
         Returns (freqs, psi_bar, xc, selected, weights, contributions);
         ``weights`` is None in evaluation (see ``score_and_select``).
         """
-        freqs, psi_bar, xc = self._encode(xt)
+        freqs, psi_bar = self._bases()
+        xc = project(xt, psi_bar)
         selected, weights = self.score_and_select(xc, training, tau, rng)
         contributions = self.head_contribution(self._head_inputs(xc, selected))
         return freqs, psi_bar, xc, selected, weights, contributions
 
-    def frequency_pass(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluation selection [B, K] and contributions [B, K, H, C] of ``x``, and nothing else.
+    def frequency_pass(self, x) -> np.ndarray:
+        """Evaluation contributions [B, K, H, C] of ``x``, and nothing else.
 
-        The frequency path of an evaluation ``forward``, byte for byte,
-        without the residual, the sum over slots or the gate.  The
-        returned contributions are this call's own array: no tape or
-        other output holds it once the call returns.
+        The frequency path of an evaluation ``forward``, byte for byte
+        and in the same memory layout, without the residual, the sum
+        over slots or the gate.  The returned array is this call's own:
+        no tape or other output holds it once the call returns.
         """
         xt = Tensor(self._windows(x, "frequency_pass"))
-        *_, selected, _, contributions = self._frequency_path(xt, training=False)
-        return selected, contributions.data
+        return self._frequency_path(xt, training=False)[-1].data
 
     def forward(self, x, training: bool = False, tau: float | None = None,
                 rng: np.random.Generator | None = None) -> ForwardOutput:
@@ -639,58 +631,52 @@ class FreqLens:
         for start in range(0, x.shape[0], EVAL_BATCH):
             yield self.forward(x[start : start + EVAL_BATCH], training=False)
 
-    def masked_forward(self, x, selection: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """Frequency prediction of every slot mask in ``keep`` [S, B, K] -> [S, B, H, C].
+    def masked_forward(self, contributions: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """Slot-masked sums of ``contributions`` [B, K, H, C], one per mask in ``keep`` [S, B, K] -> [S, B, H, C].
 
-        ``selection`` [B, K] must come from a prior forward on the same
-        input; it is held fixed and the K heads are re-run from ``x``, so
-        row s sums the contributions of the slots with ``keep[s, b, k]``
-        true.  This is an independent recomputation, not a read of the
-        forward's contributions: an all-true row reproduces that
-        forward's y_freq bit for bit (same reduction over slots), an
-        all-false row is exactly zero, and a dropped slot is excluded
-        exactly even when its contribution is not finite.  One encode
-        and one pass of the K heads serve every row, however large S
-        is, and the only [S, ...] array is the returned one.  The rows
-        walk the head output in blocks of samples that hold at most
-        ``_MASKED_BLOCK_BYTES`` of it, so every row of a block reads it
-        from cache; a block in which no sample keeps a slot is written
-        as zeros without a reduction.
+        ``contributions`` is the float64 head output of an evaluation
+        pass, and row s sums the slots with ``keep[s, b, k]`` true.  Each
+        head reads its own slot's coefficient only, so masking its output
+        removes the slot and no head runs again.  An all-true row
+        reproduces the forward's y_freq bit for bit (same reduction over
+        slots), an all-false row is exactly zero, and a dropped slot is
+        excluded exactly even when its contribution is not finite.  Each
+        row zeroes its dropped slots in place, sums and puts them back,
+        so the array, which must be writable, holds its bytes again on
+        return, and the only [S, ...] array is the returned one.  The
+        rows walk the contributions in blocks of samples that hold at
+        most ``_MASKED_BLOCK_BYTES`` of them, so every row of a block
+        reads it from cache; a block in which no sample keeps a slot is
+        written as zeros without a reduction.
         """
         cfg = self.config
-        x = self._windows(x, "masked_forward")
-        selection = np.asarray(selection)
+        contributions = np.asarray(contributions)
         keep = np.asarray(keep)
-        b = x.shape[0]
-        if selection.shape != (b, cfg.K):
-            raise ValueError(f"masked_forward: expected selection [{b}, {cfg.K}], got {selection.shape}")
+        if contributions.dtype != np.float64 or contributions.shape[1:] != (cfg.K, cfg.H, cfg.C):
+            shape = f"[B, {cfg.K}, {cfg.H}, {cfg.C}], got {contributions.dtype} {contributions.shape}"
+            raise ValueError(f"masked_forward: expected float64 contributions {shape}")
+        b = contributions.shape[0]
         if keep.dtype != np.bool_ or keep.ndim != 3 or keep.shape[1:] != (b, cfg.K):
-            raise ValueError(
-                f"masked_forward: expected a bool slot mask [S, {b}, {cfg.K}], "
-                f"got {keep.dtype} {keep.shape}"
-            )
-        xc = self._encode(Tensor(x))[-1]
-        stacked = self.head_contribution(self._head_inputs(xc, selection)).data  # [B, K, H, C]
-        # Row s is stacked.sum(axis=1) with the dropped slots zeroed in
-        # place: ``stacked`` is this call's own head output, so each row
-        # saves only its dropped slots, zeroes them, sums and puts them
-        # back.  A sample that keeps no slot saves nothing and is
-        # written as 0.0, what the sum of zeros gives.  Summing
-        # ``stacked`` itself keeps forward's contributions.sum(axis=1)
-        # bit for bit, because NumPy's summation order over the slot
-        # axis follows the strides (a C-ordered copy can sum
-        # differently, e.g. when H * C == 1).  A block's slice keeps
-        # those strides and so that order, except that a block of one
-        # sample with H * C == 1 reduces its lone slot vector pairwise,
-        # so then every block takes at least two samples.
+            shape = f"[S, {b}, {cfg.K}], got {keep.dtype} {keep.shape}"
+            raise ValueError(f"masked_forward: expected a bool slot mask {shape}")
+        # Row s is contributions.sum(axis=1) with the dropped slots zeroed
+        # in place.  A sample that keeps no slot saves nothing and is
+        # written as 0.0, what the sum of zeros gives.  Summing the
+        # caller's array itself keeps forward's y_freq bit for bit,
+        # because NumPy's summation order over the slot axis follows the
+        # strides (a C-ordered copy can sum differently, e.g. when
+        # H * C == 1).  A block's slice keeps those strides and so that
+        # order, except that a block of one sample with H * C == 1
+        # reduces its lone slot vector pairwise, so then every block
+        # takes at least two samples.
         masked = np.empty((keep.shape[0], b, cfg.H, cfg.C))
         kept = keep.any(axis=2)  # [S, B]: samples that keep a slot
         dropped = ~keep & kept[..., None]
         least = 2 if cfg.H * cfg.C == 1 else 1
-        per_block = max(least, _MASKED_BLOCK_BYTES // stacked[0].nbytes)
+        per_block = max(least, _MASKED_BLOCK_BYTES // contributions[0].nbytes)
         bounds = [*range(0, max(b - least + 1, 1), per_block), b]  # a lone last sample joins the block before
         for start, stop in zip(bounds, bounds[1:]):
-            block = stacked[start:stop]
+            block = contributions[start:stop]
             for keeps, drop, out in zip(kept[:, start:stop], dropped[:, start:stop], masked[:, start:stop]):
                 if keeps.any():
                     saved = block[drop]

@@ -128,12 +128,17 @@ def paired_ttest(a, b) -> SignificanceResult:
     deviation, and Cohen's d = mean(d)/sd(d).  Zero-variance
     differences are flagged: p = 0 with a signed infinite effect size
     when the mean difference is nonzero, and t = 0, p = 1 when the
-    differences are identically zero.
+    differences are identically zero.  A NaN or infinite value is
+    rejected, naming its array and index.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"paired test needs equal-length vectors, got {a.shape} and {b.shape}")
+    for name, values in (("a", a), ("b", b)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"paired test needs finite values, got {name}[{bad[0]}] = {values[bad[0]]}")
     n = a.shape[0]
     if n < 2:
         raise ValueError("paired test needs at least two pairs")

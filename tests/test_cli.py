@@ -358,7 +358,11 @@ class TestCompare:
         ({"split": "test"}, "no 'per_seed'"),
         ([1, 2], "no 'per_seed'"),
         ({"per_seed": {"1": {"mae": 0.1}, "2": {"mae": 0.2}}}, "no numeric 'mse'"),
-    ], ids=["no_per_seed", "json_list", "no_metric"])
+        # a NaN or infinite metric used to reach the t-test, which named neither file nor seed
+        ({"per_seed": {"1": {"mse": 0.1}, "2": {"mse": math.nan}}}, "seed 2 has no finite 'mse'"),
+        ({"per_seed": {"1": {"mse": math.inf}, "2": {"mse": 0.2}}}, "seed 1 has no finite 'mse'"),
+        ({"per_seed": {"1": {"mse": 0.1}, "2": {"mse": 10**400}}}, "seed 2 has no finite 'mse'"),
+    ], ids=["no_per_seed", "json_list", "no_metric", "nan_metric", "infinite_metric", "int_beyond_float64"])
     def test_malformed_metrics_file_is_one_line_error(self, tmp_path, capsys, content, message):
         path = tmp_path / "metrics.json"
         path.write_text(json.dumps(content))

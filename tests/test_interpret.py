@@ -264,20 +264,18 @@ class TestFaithfulness:
         k_list = [1, 3, 9]  # 9 > K collapses onto K
         results = faithfulness_test(self.model, self.x, k_list=k_list)
         assert [r.k for r in results] == [1, 3, 4]
-        out = self.model.forward(self.x)
-        mags = np.sqrt((out.contributions.data ** 2).sum(axis=(2, 3)))
+        # the reference sums the forward's contributions over the kept slots in plain NumPy
+        contributions = self.model.forward(self.x).contributions.data
+        mags = np.sqrt((contributions ** 2).sum(axis=(2, 3)))
         for r in results:
             changes = []
-            for b in range(self.x.shape[0]):
-                sel = out.selected[b : b + 1]
-                removed = sel[0][np.argsort(-mags[b], kind="stable")[: r.k]]
-                keep = np.stack([np.ones_like(sel, dtype=bool), ~np.isin(sel, removed)])
-                full, partial = self.model.masked_forward(self.x[b : b + 1], sel, keep)
-                changes.append(np.abs(full - partial).mean())
+            for b, contribution in enumerate(contributions):
+                kept = np.delete(contribution, np.argsort(-mags[b], kind="stable")[: r.k], axis=0)
+                changes.append(np.abs(contribution.sum(axis=0) - kept.sum(axis=0)).mean())
             assert r.mean_abs_change_freq_path == pytest.approx(np.mean(changes), rel=1e-12)
 
     def _count_calls(self, monkeypatch):
-        calls = {"frequency_pass": 0, "forward": 0, "masked_forward": 0}
+        calls = {"frequency_pass": 0, "forward": 0, "masked_forward": 0, "head_contribution": 0}
         for name in calls:
             original = getattr(self.model, name)
 
@@ -289,10 +287,17 @@ class TestFaithfulness:
         return calls
 
     def test_one_forward_and_one_masked_pass_per_call(self, monkeypatch):
-        # one head pass gives the attribution, one masked pass every removal; no full forward
+        # one head pass gives the attribution, one masked pass sums every removal from it; no full forward
         calls = self._count_calls(monkeypatch)
         faithfulness_test(self.model, self.x, k_list=[1, 2, 4])
-        assert calls == {"frequency_pass": 1, "masked_forward": 1, "forward": 0}
+        assert calls == {"frequency_pass": 1, "masked_forward": 1, "forward": 0, "head_contribution": 1}
+        calls.update(dict.fromkeys(calls, 0))
+        per_frequency_impacts(self.model, self.x)
+        assert calls == {"frequency_pass": 1, "masked_forward": 1, "forward": 0, "head_contribution": 1}
+        # verify_axioms runs the heads on the windows and on the null-frequency check's zero input
+        calls.update(dict.fromkeys(calls, 0))
+        verify_axioms(self.model, self.x)
+        assert calls == {"frequency_pass": 0, "masked_forward": 1, "forward": 1, "head_contribution": 2}
 
     def test_negative_removal_size_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -304,7 +309,7 @@ class TestFaithfulness:
         for k_list in ([2, -1], []):
             with pytest.raises(ValueError, match=re.escape(f"nonempty list of nonnegative sizes, got {k_list}")):
                 faithfulness_test(self.model, self.x, k_list=k_list)
-        assert calls == {"frequency_pass": 0, "forward": 0, "masked_forward": 0}
+        assert calls == {"frequency_pass": 0, "forward": 0, "masked_forward": 0, "head_contribution": 0}
 
     @pytest.mark.parametrize("max_samples", [0, -1])
     def test_max_samples_below_one_rejected(self, max_samples):
@@ -344,8 +349,8 @@ class TestMaskedPassMemory:
         model = FreqLens(ModelConfig())  # L=96, H=96, C=7, d=64, N=32, K=8
         cfg = model.config
         x = np.random.default_rng(0).normal(size=(64, cfg.L, cfg.C))
-        selected = model.forward(x).selected  # also builds the evaluation bases
-        return model, x, selected, x.shape[0] * cfg.K * cfg.H * cfg.C * 8
+        contributions = model.frequency_pass(x)  # also builds the evaluation bases
+        return model, x, contributions, contributions.nbytes
 
     @staticmethod
     def _peak(fn):
@@ -358,21 +363,23 @@ class TestMaskedPassMemory:
             tracemalloc.stop()
 
     def test_masked_forward_builds_no_per_row_buffer(self, case):
-        # reads ~1.07; a per-row [B, K, H, C] product buffer reads ~2.13
-        model, x, selected, contributions_bytes = case
-        rows, peak = self._peak(lambda: model.masked_forward(x, selected, _leave_one_out(*selected.shape)))
-        assert (peak - rows.nbytes) / contributions_bytes <= 1.6
+        # reads ~0.03, one block row's dropped slots; a copy of the contributions reads >= 1.0
+        model, _, contributions, contributions_bytes = case
+        before = contributions.tobytes()
+        rows, peak = self._peak(lambda: model.masked_forward(contributions, _leave_one_out(*contributions.shape[:2])))
+        assert (peak - rows.nbytes) / contributions_bytes <= 0.1
+        assert contributions.tobytes() == before
 
     def test_faithfulness_test_peak(self, case):
-        # reads ~2.78; a full forward for the attribution and unblocked rows read
-        # ~3.18, a per-row product buffer in masked_forward ~3.76, and two masked
-        # passes with [K, B, H, C] removal differences ~6.04
+        # reads ~2.73; holding the contributions past the masked pass reads ~3.01,
+        # a full forward for the attribution and unblocked rows ~3.18, and two
+        # masked passes with [K, B, H, C] removal differences ~6.04
         model, x, _, contributions_bytes = case
         _, peak = self._peak(lambda: faithfulness_test(model, x, [1, 2, 4, 8]))
         assert peak / contributions_bytes <= 3.0
 
     def test_verify_axioms_peak(self, case):
-        # reads ~3.83; [K, B, H, C] removal differences read ~6.5
+        # reads ~3.79; [K, B, H, C] removal differences read ~6.5
         model, x, _, contributions_bytes = case
         _, peak = self._peak(lambda: verify_axioms(model, x))
         assert peak / contributions_bytes <= 5.5

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from freqlens import autodiff as ad
 from freqlens import model as fl_model
-from freqlens.interpret import FaithfulnessResult, faithfulness_test, per_frequency_impacts
+from freqlens.interpret import FaithfulnessResult, _leave_one_out, faithfulness_test, per_frequency_impacts
 from freqlens.model import FreqLens, ModelConfig
 
 
@@ -57,6 +57,11 @@ def _with_corners(test):
     return test
 
 
+def _held(out):
+    """A writable copy of a forward's contributions in their memory layout, as an attribution pass holds them."""
+    return np.array(out.contributions.data, order="K")
+
+
 @settings(max_examples=40, deadline=None)
 @_with_corners
 @given(shape=shapes())
@@ -64,7 +69,7 @@ def test_all_true_rows_equal_forward_bit_for_bit(shape):
     model, x, s = _case(shape)
     out = model.forward(x)
     keep = np.ones((s,) + out.selected.shape, dtype=bool)
-    rows = model.masked_forward(x, out.selected, keep)
+    rows = model.masked_forward(_held(out), keep)
     assert rows.shape == (s,) + out.y_freq.shape
     for row in rows:
         np.testing.assert_array_equal(row, out.y_freq.data)
@@ -77,7 +82,7 @@ def test_all_false_rows_are_exactly_zero(shape):
     model, x, s = _case(shape)
     out = model.forward(x)
     keep = np.zeros((s,) + out.selected.shape, dtype=bool)
-    assert np.all(model.masked_forward(x, out.selected, keep) == 0.0)
+    assert np.all(model.masked_forward(_held(out), keep) == 0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -90,7 +95,7 @@ def test_leave_one_out_reproduces_each_contribution(shape):
     keep = np.ones((1 + k, b, k), dtype=bool)
     for slot in range(k):
         keep[1 + slot, :, slot] = False
-    rows = model.masked_forward(x, out.selected, keep)
+    rows = model.masked_forward(_held(out), keep)
     for slot in range(k):
         np.testing.assert_allclose(rows[0] - rows[1 + slot], out.contributions.data[:, slot], rtol=0, atol=1e-9)
 
@@ -140,9 +145,10 @@ def test_each_row_equals_a_one_row_call_bit_for_bit(shape):
     model, x, _ = _case(shape)
     out = model.forward(x)
     keep = _mixed_mask(np.random.default_rng(shape["seed"]), *out.selected.shape)
-    rows = model.masked_forward(x, out.selected, keep)
+    contributions = _held(out)
+    rows = model.masked_forward(contributions, keep)
     for row, mask in zip(rows, keep):
-        assert row.tobytes() == model.masked_forward(x, out.selected, mask[None])[0].tobytes()
+        assert row.tobytes() == model.masked_forward(contributions, mask[None])[0].tobytes()
     assert rows[0].tobytes() == rows[4].tobytes()
 
 
@@ -155,9 +161,10 @@ def test_masking_leaves_no_trace(shape):
     out = model.forward(x)
     contributions = out.contributions.data.tobytes()
     keep = _mixed_mask(np.random.default_rng(shape["seed"]), *out.selected.shape)
-    first = model.masked_forward(x, out.selected, keep)
-    assert out.contributions.data.tobytes() == contributions
-    assert model.masked_forward(x, out.selected, keep).tobytes() == first.tobytes()
+    held = _held(out)
+    first = model.masked_forward(held, keep)
+    assert held.tobytes() == contributions  # the argument holds its bytes again
+    assert model.masked_forward(held, keep).tobytes() == first.tobytes()
     assert model.forward(x).contributions.data.tobytes() == contributions
 
 
@@ -169,18 +176,14 @@ def test_non_finite_dropped_slot_is_excluded_exactly(shape):
     out = model.forward(x)
     b, k = out.selected.shape
     keep = _mixed_mask(np.random.default_rng(shape["seed"]), b, k)
-    expected = model.masked_forward(x, out.selected, keep)
-    heads = model.head_contribution
+    contributions = _held(out)
+    expected = model.masked_forward(contributions, keep)
     poisoned = keep.any(axis=0) & ~keep.all(axis=0)  # kept in some row, dropped in another
     poisoned[0, 0] = True
-
-    def poison(c_sel):
-        contributions = heads(c_sel)
-        contributions.data[poisoned] = np.where(np.arange(contributions.shape[2])[:, None] % 2, np.inf, np.nan)
-        return contributions
-
-    model.head_contribution = poison
-    rows = model.masked_forward(x, out.selected, keep)
+    contributions[poisoned] = np.where(np.arange(contributions.shape[2])[:, None] % 2, np.inf, np.nan)
+    poisoned_bytes = contributions.tobytes()
+    rows = model.masked_forward(contributions, keep)
+    assert contributions.tobytes() == poisoned_bytes  # NaN and inf put back bit for bit
     clean = ~(keep & poisoned).any(axis=2)  # [S, B]: no poisoned slot kept
     assert rows[clean].tobytes() == expected[clean].tobytes()
     assert np.isfinite(rows[clean]).all()
@@ -193,9 +196,9 @@ def test_non_finite_dropped_slot_is_excluded_exactly(shape):
 def test_frequency_pass_equals_forward_bit_for_bit(shape):
     model, x, _ = _case(shape)
     out = model.forward(x)
-    selected, contributions = model.frequency_pass(x)
-    assert selected.tobytes() == out.selected.tobytes()
+    contributions = model.frequency_pass(x)
     assert contributions.shape == out.contributions.shape
+    assert contributions.strides == out.contributions.data.strides  # the layout fixes the slot-sum order
     assert contributions.tobytes() == out.contributions.data.tobytes()
 
 
@@ -209,7 +212,7 @@ def _reference_from_forward(model, x, k_list):
     rank = np.argsort(np.argsort(-mags, axis=1, kind="stable"), axis=1)
     k_effs = list(dict.fromkeys(min(n, k) for n in k_list))
     removed = np.stack([rank >= n for n in k_effs])
-    rows = model.masked_forward(x, out.selected, np.concatenate([leave_one_out, removed]))
+    rows = model.masked_forward(_held(out), np.concatenate([leave_one_out, removed]))
     impacts = alpha * np.sqrt(((rows[:1] - rows[1 : 1 + k]) ** 2).sum(axis=(2, 3))).T
     if mags.std() == 0.0 or impacts.std() == 0.0:
         correlation = 1.0
@@ -255,21 +258,36 @@ def test_sample_blocks_leave_every_row_unchanged(shape):
     keep = np.concatenate(
         [_mixed_mask(np.random.default_rng(shape["seed"]), b, k), np.zeros((1, b, k), dtype=bool), partly_empty[None]]
     )
-    heads = model.head_contribution
     poisoned = keep.any(axis=0) & ~keep.all(axis=0)
     poisoned[0, 0] = True
-
-    def poison(c_sel):
-        contributions = heads(c_sel)
-        contributions.data[poisoned] = np.nan
-        return contributions
-
-    for head_contribution in (heads, poison):
-        model.head_contribution = head_contribution
-        whole = model.masked_forward(x, out.selected, keep)
+    clean = _held(out)
+    nan = _held(out)
+    nan[poisoned] = np.nan
+    for contributions in (clean, nan):
+        before = contributions.tobytes()
+        whole = model.masked_forward(contributions, keep)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fl_model, "_MASKED_BLOCK_BYTES", 1)
-            blocked = model.masked_forward(x, out.selected, keep)
+            blocked = model.masked_forward(contributions, keep)
+        assert contributions.tobytes() == before
         assert blocked.tobytes() == whole.tobytes()
         assert np.all(blocked[-2] == 0.0)
         assert np.all(blocked[-1, ::2] == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@_with_corners
+@given(shape=shapes())
+def test_zeroing_a_head_input_equals_the_leave_one_out_row(shape):
+    # faithfulness as an intervention: remove slot f before the heads, not after them;
+    # a head that read another slot's coefficient would change the other slots' outputs
+    model, x, _ = _case(shape)
+    out = model.forward(x)
+    b, k = out.selected.shape
+    rows = model.masked_forward(_held(out), _leave_one_out(b, k))
+    c_sel = model._head_inputs(out.input_coefficients, out.selected).data
+    for f in range(k):
+        cut = c_sel.copy()
+        cut[:, f] = 0.0
+        # assert_array_equal: a removed slot's head output may be -0.0 where the row holds +0.0
+        np.testing.assert_array_equal(model.head_contribution(ad.Tensor(cut)).data.sum(axis=1), rows[1 + f])

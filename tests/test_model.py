@@ -42,6 +42,11 @@ def random_inputs(config, batch=3, seed=0):
     return rng.normal(size=(batch, config.L, config.C))
 
 
+def held_contributions(out):
+    """A writable copy of a forward's contributions in their memory layout, for ``masked_forward``."""
+    return np.array(out.contributions.data, order="K")
+
+
 @st.composite
 def encoder_dims(draw):
     n = draw(st.integers(1, 8))
@@ -225,7 +230,7 @@ class TestProjection:
         model = FreqLens(cfg)
         x = random_inputs(cfg, 2, seed=8)
         out = model.forward(x, training=False)
-        model.masked_forward(x, out.selected, np.isin(out.selected, [])[None])
+        model.frequency_pass(x)
         model.attribute(out)
         assert (2, cfg.N, cfg.C) in shapes  # the recorder saw the input coefficients
         assert (2, cfg.L, cfg.C) not in shapes
@@ -270,7 +275,6 @@ class TestProjection:
             model = FreqLens(cfg)
             x = random_inputs(cfg, b, seed=9)
             y = np.zeros((b, cfg.H, cfg.C))
-            selected = model.forward(x).selected
 
             def training_step(model=model, x=x, y=y):
                 out = model.forward(x, training=True, tau=0.5, rng=np.random.default_rng(9))
@@ -278,7 +282,7 @@ class TestProjection:
 
             passes = {
                 "evaluation forward": lambda: model.forward(x, training=False),
-                "masked_forward": lambda: model.masked_forward(x, selected, np.ones((2, b, cfg.K), dtype=bool)),
+                "frequency_pass": lambda: model.frequency_pass(x),
                 "training step": training_step,
             }
             for name, run in passes.items():
@@ -491,6 +495,9 @@ class TestForward:
         model = FreqLens(cfg)
         with pytest.raises(ValueError, match="expected input"):
             model.forward(np.zeros((2, cfg.L + 1, cfg.C)))
+        # the attribution passes' one window check names their pass
+        with pytest.raises(ValueError, match=re.escape(f"frequency_pass: expected input [B, {cfg.L}, {cfg.C}]")):
+            model.frequency_pass(np.zeros((2, cfg.L, cfg.C + 1)))
 
     def test_training_gradient_reaches_scorer(self):
         # the straight-through weight routes prediction gradient into selection
@@ -621,7 +628,7 @@ class TestEvalBasesReuse:
         out = model.forward(x)
         assert len(calls) == 1
         again = model.forward(x[:1])
-        model.masked_forward(x, out.selected, np.ones((1, x.shape[0], cfg.K), dtype=bool))
+        model.frequency_pass(x)
         assert len(calls) == 1
         assert again.bases is out.bases and again.frequencies is out.frequencies
         step = model.forward(x, training=True, tau=0.5, rng=np.random.default_rng(0))
@@ -684,14 +691,14 @@ class TestMaskedForward:
         self.model = FreqLens(self.cfg)
         self.x = random_inputs(self.cfg, 3, seed=21)
         self.out = self.model.forward(self.x)
+        self.contributions = held_contributions(self.out)
 
     def test_full_subset_equals_freq_prediction(self):
-        # bit-exact against a forward on the same (single-sample) batch;
-        # selection differs per sample, so the full set is passed per sample
+        # bit-exact against a forward on the same (single-sample) batch
         for b in range(3):
             single = self.model.forward(self.x[b : b + 1])
-            keep = np.isin(single.selected, single.selected[0])[None]
-            mb = self.model.masked_forward(self.x[b : b + 1], single.selected, keep)[0]
+            keep = np.ones((1, 1, self.cfg.K), dtype=bool)
+            mb = self.model.masked_forward(held_contributions(single), keep)[0]
             np.testing.assert_array_equal(mb[0], single.y_freq.data[0])
 
     def test_full_subset_batchwise_when_selection_is_shared(self):
@@ -699,45 +706,41 @@ class TestMaskedForward:
         model = FreqLens(cfg)
         x = random_inputs(cfg, 3, seed=22)
         out = model.forward(x)
-        m = model.masked_forward(x, out.selected, np.isin(out.selected, range(4))[None])[0]
+        m = model.masked_forward(held_contributions(out), np.isin(out.selected, range(4))[None])[0]
         np.testing.assert_array_equal(m, out.y_freq.data)
 
     def test_empty_subset_is_zero(self):
-        m = self.model.masked_forward(self.x, self.out.selected, np.isin(self.out.selected, [])[None])[0]
+        m = self.model.masked_forward(self.contributions, np.isin(self.out.selected, [])[None])[0]
         np.testing.assert_array_equal(m, 0.0)
 
     def test_faithfulness_per_selected_frequency(self):
+        # the reference sums the forward's contributions over the kept slots in plain NumPy
         contrib = self.out.contributions.data
-        for b in range(3):
-            sel = self.out.selected[b]
-            full = self.model.masked_forward(self.x[b : b + 1], sel[None], np.isin(sel, sel)[None, None])[0, 0]
-            for slot, f in enumerate(sel):
-                rest = [i for i in sel if i != f]
-                keep = np.isin(sel, rest)[None, None]
-                partial = self.model.masked_forward(self.x[b : b + 1], sel[None], keep)[0, 0]
-                np.testing.assert_allclose(full - partial, contrib[b, slot], atol=1e-9)
+        b, k = self.out.selected.shape
+        keep = np.concatenate([np.ones((1, b, k), dtype=bool), np.repeat(~np.eye(k, dtype=bool)[:, None], b, 1)])
+        full, *partials = self.model.masked_forward(self.contributions, keep)
+        np.testing.assert_allclose(full, contrib.sum(axis=1), atol=1e-9)
+        for slot, partial in enumerate(partials):
+            np.testing.assert_allclose(partial, np.delete(contrib, slot, axis=1).sum(axis=1), atol=1e-9)
+            np.testing.assert_allclose(full - partial, contrib[:, slot], atol=1e-9)
 
     def test_malformed_mask_rejected(self):
-        # a slot mask cannot name an unselected basis; what can be wrong is its shape or dtype
+        # a slot mask cannot name an unselected basis; what can be wrong is its shape or dtype,
+        # and the same of the contributions it masks
+        keep = np.ones((1, 3, 4), dtype=bool)
         malformed = [
-            np.ones((3, 4), dtype=bool),  # no subset axis
-            np.ones((1, 2, 4), dtype=bool),  # wrong batch size
-            np.ones((1, 3, 3), dtype=bool),  # wrong slot count
-            np.ones((1, 3, 4)),  # float, not bool
-            np.ones((1, 3, 4), dtype=np.int64),  # int, not bool
+            (self.contributions, np.ones((3, 4), dtype=bool), "bool slot mask"),  # no subset axis
+            (self.contributions, np.ones((1, 2, 4), dtype=bool), "bool slot mask"),  # wrong batch size
+            (self.contributions, np.ones((1, 3, 3), dtype=bool), "bool slot mask"),  # wrong slot count
+            (self.contributions, np.ones((1, 3, 4)), "bool slot mask"),  # float, not bool
+            (self.contributions, np.ones((1, 3, 4), dtype=np.int64), "bool slot mask"),  # int, not bool
+            (self.contributions[:, :3], keep, "float64 contributions"),  # wrong slot count
+            (self.contributions[0], keep, "float64 contributions"),  # no batch axis
+            (self.contributions.astype(np.float32), keep, "float64 contributions"),
         ]
-        for keep in malformed:
-            with pytest.raises(ValueError, match="bool slot mask"):
-                self.model.masked_forward(self.x, self.out.selected, keep)
-
-    def test_window_shape_rejected(self):
-        # the window check of forward, naming masked_forward
-        cfg = self.cfg
-        keep = np.ones((1, 3, cfg.K), dtype=bool)
-        message = re.escape(f"masked_forward: expected input [B, {cfg.L}, {cfg.C}]")
-        for x in (self.x[:, 1:], self.x[:, :, :1], self.x[0]):  # wrong L, wrong C, 2-D
-            with pytest.raises(ValueError, match=message):
-                self.model.masked_forward(x, self.out.selected, keep)
+        for contributions, mask, message in malformed:
+            with pytest.raises(ValueError, match=f"masked_forward: expected (a )?{message}"):
+                self.model.masked_forward(contributions, mask)
 
 
 class TestAttribute:
@@ -843,15 +846,15 @@ class TestAxiomsRandomized:
             # A1 completeness
             dev = np.abs(out.contributions.data.sum(axis=1) - out.y_freq.data).max()
             assert dev < 1e-9
-            # A2 faithfulness via masked recomputation
-            for b in range(2):
-                sel = out.selected[b]
-                full = model.masked_forward(x[b : b + 1], sel[None], np.isin(sel, sel)[None, None])[0, 0]
-                for slot, f in enumerate(sel):
-                    keep = np.isin(sel, [i for i in sel if i != f])[None, None]
-                    partial = model.masked_forward(x[b : b + 1], sel[None], keep)[0, 0]
-                    a2 = np.abs(full - partial - out.contributions.data[b, slot]).max()
-                    assert a2 < 1e-9
+            # A2 faithfulness via masked sums, against plain NumPy sums over the kept slots
+            contrib = out.contributions.data
+            keep = np.ones((1 + cfg.K, 2, cfg.K), dtype=bool)
+            for slot in range(cfg.K):
+                keep[1 + slot, :, slot] = False
+            full, *partials = model.masked_forward(held_contributions(out), keep)
+            for slot, partial in enumerate(partials):
+                assert np.abs(partial - np.delete(contrib, slot, axis=1).sum(axis=1)).max() < 1e-9
+                assert np.abs(full - partial - contrib[:, slot]).max() < 1e-9
             # A3 null frequency, bit exact
             zero = model.head_contribution(Tensor(np.zeros((1, cfg.K, cfg.d))))
             assert np.all(zero.data == 0.0)

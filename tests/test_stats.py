@@ -1,6 +1,7 @@
 """Metric and significance-test checks against independent numerical oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,13 @@ class TestPairedTTest:
     def test_unequal_lengths(self):
         with pytest.raises(ValueError, match="equal-length"):
             paired_ttest([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    def test_non_finite_value_names_its_array_and_index(self):
+        # used to fail inside the incomplete beta with "x must lie in [0, 1], got nan"
+        with pytest.raises(ValueError, match=re.escape("finite values, got a[1] = nan")):
+            paired_ttest([1.0, math.nan, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=re.escape("finite values, got b[2] = -inf")):
+            paired_ttest([1.0, 2.0, 3.0], [1.0, 2.0, -math.inf])
 
     def test_p_in_unit_interval(self):
         rng = np.random.default_rng(4)
