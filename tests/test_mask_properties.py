@@ -9,6 +9,7 @@ from freqlens import autodiff as ad
 from freqlens import model as fl_model
 from freqlens.interpret import FaithfulnessResult, _leave_one_out, faithfulness_test, per_frequency_impacts
 from freqlens.model import FreqLens, ModelConfig
+from test_model import held_contributions
 
 
 @st.composite
@@ -57,11 +58,6 @@ def _with_corners(test):
     return test
 
 
-def _held(out):
-    """A writable copy of a forward's contributions in their memory layout, as an attribution pass holds them."""
-    return np.array(out.contributions.data, order="K")
-
-
 @settings(max_examples=40, deadline=None)
 @_with_corners
 @given(shape=shapes())
@@ -69,7 +65,7 @@ def test_all_true_rows_equal_forward_bit_for_bit(shape):
     model, x, s = _case(shape)
     out = model.forward(x)
     keep = np.ones((s,) + out.selected.shape, dtype=bool)
-    rows = model.masked_forward(_held(out), keep)
+    rows = model.masked_forward(held_contributions(out), keep)
     assert rows.shape == (s,) + out.y_freq.shape
     for row in rows:
         np.testing.assert_array_equal(row, out.y_freq.data)
@@ -82,7 +78,7 @@ def test_all_false_rows_are_exactly_zero(shape):
     model, x, s = _case(shape)
     out = model.forward(x)
     keep = np.zeros((s,) + out.selected.shape, dtype=bool)
-    assert np.all(model.masked_forward(_held(out), keep) == 0.0)
+    assert np.all(model.masked_forward(held_contributions(out), keep) == 0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -95,7 +91,7 @@ def test_leave_one_out_reproduces_each_contribution(shape):
     keep = np.ones((1 + k, b, k), dtype=bool)
     for slot in range(k):
         keep[1 + slot, :, slot] = False
-    rows = model.masked_forward(_held(out), keep)
+    rows = model.masked_forward(held_contributions(out), keep)
     for slot in range(k):
         np.testing.assert_allclose(rows[0] - rows[1 + slot], out.contributions.data[:, slot], rtol=0, atol=1e-9)
 
@@ -145,7 +141,7 @@ def test_each_row_equals_a_one_row_call_bit_for_bit(shape):
     model, x, _ = _case(shape)
     out = model.forward(x)
     keep = _mixed_mask(np.random.default_rng(shape["seed"]), *out.selected.shape)
-    contributions = _held(out)
+    contributions = held_contributions(out)
     rows = model.masked_forward(contributions, keep)
     for row, mask in zip(rows, keep):
         assert row.tobytes() == model.masked_forward(contributions, mask[None])[0].tobytes()
@@ -161,7 +157,7 @@ def test_masking_leaves_no_trace(shape):
     out = model.forward(x)
     contributions = out.contributions.data.tobytes()
     keep = _mixed_mask(np.random.default_rng(shape["seed"]), *out.selected.shape)
-    held = _held(out)
+    held = held_contributions(out)
     first = model.masked_forward(held, keep)
     assert held.tobytes() == contributions  # the argument holds its bytes again
     assert model.masked_forward(held, keep).tobytes() == first.tobytes()
@@ -176,7 +172,7 @@ def test_non_finite_dropped_slot_is_excluded_exactly(shape):
     out = model.forward(x)
     b, k = out.selected.shape
     keep = _mixed_mask(np.random.default_rng(shape["seed"]), b, k)
-    contributions = _held(out)
+    contributions = held_contributions(out)
     expected = model.masked_forward(contributions, keep)
     poisoned = keep.any(axis=0) & ~keep.all(axis=0)  # kept in some row, dropped in another
     poisoned[0, 0] = True
@@ -212,7 +208,7 @@ def _reference_from_forward(model, x, k_list):
     rank = np.argsort(np.argsort(-mags, axis=1, kind="stable"), axis=1)
     k_effs = list(dict.fromkeys(min(n, k) for n in k_list))
     removed = np.stack([rank >= n for n in k_effs])
-    rows = model.masked_forward(_held(out), np.concatenate([leave_one_out, removed]))
+    rows = model.masked_forward(held_contributions(out), np.concatenate([leave_one_out, removed]))
     impacts = alpha * np.sqrt(((rows[:1] - rows[1 : 1 + k]) ** 2).sum(axis=(2, 3))).T
     if mags.std() == 0.0 or impacts.std() == 0.0:
         correlation = 1.0
@@ -260,8 +256,8 @@ def test_sample_blocks_leave_every_row_unchanged(shape):
     )
     poisoned = keep.any(axis=0) & ~keep.all(axis=0)
     poisoned[0, 0] = True
-    clean = _held(out)
-    nan = _held(out)
+    clean = held_contributions(out)
+    nan = held_contributions(out)
     nan[poisoned] = np.nan
     for contributions in (clean, nan):
         before = contributions.tobytes()
@@ -284,7 +280,7 @@ def test_zeroing_a_head_input_equals_the_leave_one_out_row(shape):
     model, x, _ = _case(shape)
     out = model.forward(x)
     b, k = out.selected.shape
-    rows = model.masked_forward(_held(out), _leave_one_out(b, k))
+    rows = model.masked_forward(held_contributions(out), _leave_one_out(b, k))
     c_sel = model._head_inputs(out.input_coefficients, out.selected).data
     for f in range(k):
         cut = c_sel.copy()
